@@ -1,5 +1,7 @@
 #include "core/encoder.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "linalg/ops.h"
 
@@ -22,7 +24,9 @@ EncodedFeatures TrainEncoder(const Graph& graph, const Split& split,
   EncodedFeatures out{Matrix(), {}, -1.0, Mlp(mlp_options)};
   out.mlp.Train(graph.features(), graph.labels(), split.train, split.val);
 
-  const Matrix logits = out.mlp.Forward(graph.features());
+  // One pass over the graph gives both the logits and the penultimate layer.
+  std::vector<Matrix> outputs = out.mlp.LayerOutputs(graph.features());
+  const Matrix& logits = outputs.back();
   out.predictions.resize(static_cast<std::size_t>(graph.num_nodes()));
   for (int v = 0; v < graph.num_nodes(); ++v) {
     out.predictions[static_cast<std::size_t>(v)] =
@@ -32,8 +36,7 @@ EncodedFeatures TrainEncoder(const Graph& graph, const Split& split,
     out.val_accuracy = Accuracy(logits, graph.labels(), split.val);
   }
   // Penultimate layer = last hidden representation (d1-dimensional).
-  out.features = out.mlp.HiddenRepresentation(graph.features(),
-                                              out.mlp.num_layers() - 1);
+  out.features = std::move(outputs[outputs.size() - 2]);
   return out;
 }
 

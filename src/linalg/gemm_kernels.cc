@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -139,6 +140,58 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
 }
 #endif  // GCON_GEMM_HAVE_X86_DISPATCH
 
+// --- CSR axpy kernels ------------------------------------------------------
+//
+// For each stored entry e with index j = idx[e]:
+//   y_j[0..n) += vals[e] * x_j[0..n),
+//   x_j = x + j * x_stride,  y_j = y + (j >> y_shift) * y_stride.
+// One kernel serves both CSR drivers. The row driver gathers B rows into one
+// accumulator row per k-slab (x_stride = n, y_shift = log2 KC); the
+// transposed driver scatters one B row into accumulator rows (x_stride = 0,
+// y_shift = 0). The multiply-add mirrors the micro-kernel of the same tier:
+// `c += a * b` in the portable one, an FMA in the AVX2 one.
+
+using CsrAxpyFn = void (*)(std::size_t, const std::int32_t*, const double*,
+                           const double*, std::size_t, double*, unsigned,
+                           std::size_t, std::size_t);
+
+void CsrAxpyPortable(std::size_t count, const std::int32_t* idx,
+                     const double* vals, const double* x, std::size_t x_stride,
+                     double* y, unsigned y_shift, std::size_t y_stride,
+                     std::size_t n) {
+  for (std::size_t e = 0; e < count; ++e) {
+    const std::size_t j = static_cast<std::size_t>(idx[e]);
+    const double v = vals[e];
+    const double* xr = x + j * x_stride;
+    double* yr = y + (j >> y_shift) * y_stride;
+    for (std::size_t s = 0; s < n; ++s) yr[s] += v * xr[s];
+  }
+}
+
+#if GCON_GEMM_HAVE_X86_DISPATCH
+// The FMA loop lives in this target("avx2,fma") body on purpose: the scalar
+// tail's __builtin_fma compiles to vfmadd here, but to a libm call in a
+// function without the target attribute.
+__attribute__((target("avx2,fma"))) void CsrAxpyAvx2(
+    std::size_t count, const std::int32_t* idx, const double* vals,
+    const double* x, std::size_t x_stride, double* y, unsigned y_shift,
+    std::size_t y_stride, std::size_t n) {
+  for (std::size_t e = 0; e < count; ++e) {
+    const std::size_t j = static_cast<std::size_t>(idx[e]);
+    const double v = vals[e];
+    const double* xr = x + j * x_stride;
+    double* yr = y + (j >> y_shift) * y_stride;
+    const __m256d vv = _mm256_set1_pd(v);
+    std::size_t s = 0;
+    for (; s + 4 <= n; s += 4) {
+      _mm256_storeu_pd(yr + s, _mm256_fmadd_pd(vv, _mm256_loadu_pd(xr + s),
+                                               _mm256_loadu_pd(yr + s)));
+    }
+    for (; s < n; ++s) yr[s] = __builtin_fma(v, xr[s], yr[s]);
+  }
+}
+#endif  // GCON_GEMM_HAVE_X86_DISPATCH
+
 bool DetectAvx2() {
 #if GCON_GEMM_HAVE_X86_DISPATCH
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -154,28 +207,43 @@ MicroKernelFn ResolveMicroKernel() {
   return MicroKernelPortable;
 }
 
+CsrAxpyFn ResolveCsrAxpy() {
+#if GCON_GEMM_HAVE_X86_DISPATCH
+  if (DetectAvx2()) return CsrAxpyAvx2;
+#endif
+  return CsrAxpyPortable;
+}
+
 // Resolved once; the choice is stable for the process lifetime, so repeated
-// products on identical inputs are bitwise identical.
+// products on identical inputs are bitwise identical. Both resolve from the
+// same CPU test, so the CSR path fuses exactly when the micro-kernel does.
 const MicroKernelFn kMicroKernel = ResolveMicroKernel();
+const CsrAxpyFn kCsrAxpy = ResolveCsrAxpy();
+
+// Folds one k-slab's accumulator row into a C row. `first` marks the first
+// k-slab, where beta is applied (beta == 0 overwrites without reading C);
+// later slabs accumulate. Both drivers write through here, so the dense and
+// CSR paths round alpha/beta identically.
+inline void WriteRow(const double* acc, std::size_t cols, double alpha,
+                     double beta, bool first, double* crow) {
+  if (!first) {
+    for (std::size_t s = 0; s < cols; ++s) crow[s] += alpha * acc[s];
+  } else if (beta == 0.0) {
+    for (std::size_t s = 0; s < cols; ++s) crow[s] = alpha * acc[s];
+  } else {
+    for (std::size_t s = 0; s < cols; ++s) {
+      crow[s] = alpha * acc[s] + beta * crow[s];
+    }
+  }
+}
 
 // Writes an rows x cols corner of the MR x NR accumulator tile into C at
-// (ci, cj). `first` marks the first k-slab, where beta is applied (beta == 0
-// overwrites without reading C); later slabs accumulate.
+// (ci, cj).
 inline void WriteTile(const double* acc, std::size_t rows, std::size_t cols,
                       double alpha, double beta, bool first, Matrix* c,
                       std::size_t ci, std::size_t cj) {
   for (std::size_t r = 0; r < rows; ++r) {
-    double* crow = c->RowPtr(ci + r) + cj;
-    const double* arow = acc + r * NR;
-    if (!first) {
-      for (std::size_t s = 0; s < cols; ++s) crow[s] += alpha * arow[s];
-    } else if (beta == 0.0) {
-      for (std::size_t s = 0; s < cols; ++s) crow[s] = alpha * arow[s];
-    } else {
-      for (std::size_t s = 0; s < cols; ++s) {
-        crow[s] = alpha * arow[s] + beta * crow[s];
-      }
-    }
+    WriteRow(acc + r * NR, cols, alpha, beta, first, c->RowPtr(ci + r) + cj);
   }
 }
 
@@ -192,9 +260,11 @@ void ScaleOrZero(double beta, Matrix* c) {
 // call (one that runs the packed kernel) bumps a per-class call counter and
 // a FLOP counter (2*m*n*k). The classes partition the (m, n) plane the way
 // the serve path exercises it: single-row feature GEMVs, tall inference
-// batches, and near-square training products.
-constexpr std::array<const char*, 5> kGemmShapeNames = {
-    "vec_mat", "mat_vec", "tall_skinny", "wide", "square"};
+// batches, and near-square training products. GemmCsr calls form their own
+// class, counted at the work they do (2*nnz*n).
+constexpr std::array<const char*, 6> kGemmShapeNames = {
+    "vec_mat", "mat_vec", "tall_skinny", "wide", "square", "csr"};
+constexpr std::size_t kCsrShapeClass = 5;
 
 std::size_t GemmShapeClass(std::size_t m, std::size_t n) {
   if (m == 1) return 0;           // vec_mat: one row through the weights
@@ -204,14 +274,14 @@ std::size_t GemmShapeClass(std::size_t m, std::size_t n) {
   return 4;                       // square-ish
 }
 
-void RecordGemmCall(std::size_t m, std::size_t n, std::size_t k) {
+void RecordGemmCall(std::size_t shape_class, std::uint64_t flops) {
   if (!obs::MetricsEnabled()) return;
   struct ShapeHandles {
     obs::Counter* calls;
     obs::Counter* flops;
   };
-  static const std::array<ShapeHandles, 5> handles = [] {
-    std::array<ShapeHandles, 5> out{};
+  static const std::array<ShapeHandles, kGemmShapeNames.size()> handles = [] {
+    std::array<ShapeHandles, kGemmShapeNames.size()> out{};
     auto& registry = obs::MetricsRegistry::Global();
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i].calls = registry.counter(
@@ -219,14 +289,146 @@ void RecordGemmCall(std::size_t m, std::size_t n, std::size_t k) {
           {{"shape", kGemmShapeNames[i]}});
       out[i].flops = registry.counter(
           "gcon_gemm_flops_total",
-          "Floating-point operations (2*m*n*k), by shape class.",
+          "Floating-point operations (2*m*n*k; csr: 2*nnz*n), by shape "
+          "class.",
           {{"shape", kGemmShapeNames[i]}});
     }
     return out;
   }();
-  const ShapeHandles& h = handles[GemmShapeClass(m, n)];
+  const ShapeHandles& h = handles[shape_class];
   h.calls->Increment();
-  h.flops->Increment(2ull * m * n * k);
+  h.flops->Increment(flops);
+}
+
+// --- CSR driver helpers ----------------------------------------------------
+
+// What GemmCsr must know about an operand's values, from one pass over them.
+struct ValueScan {
+  bool non_finite = false;  // some value is NaN or Inf
+  bool tiny = false;        // some value, zero included, is below 2^-511
+};
+
+// Reads only the 11 exponent bits (all ones: NaN or Inf; under 512: below
+// 2^-511 in magnitude), branch-free so the scan vectorizes.
+ValueScan ScanValues(const double* d, std::size_t size) {
+  std::uint32_t non_finite = 0;
+  std::uint32_t tiny = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    std::uint64_t bits;
+    std::memcpy(&bits, d + i, sizeof(bits));
+    const std::uint32_t exponent =
+        static_cast<std::uint32_t>(bits >> 52) & 0x7ffu;
+    non_finite |= exponent == 0x7ffu ? 1u : 0u;
+    tiny |= exponent < 512u ? 1u : 0u;
+  }
+  return {non_finite != 0, tiny != 0};
+}
+
+Matrix Densify(const CsrOperand& a) {
+  Matrix dense(a.rows, a.cols);
+  for (std::size_t i = 0; i < a.rows; ++i) {
+    for (std::int64_t e = a.row_ptr[i]; e < a.row_ptr[i + 1]; ++e) {
+      dense(i, static_cast<std::size_t>(a.col_idx[e])) = a.values[e];
+    }
+  }
+  return dense;
+}
+
+double CsrAt(const CsrOperand& a, std::size_t i, std::size_t j) {
+  const std::int32_t* begin = a.col_idx + a.row_ptr[i];
+  const std::int32_t* end = a.col_idx + a.row_ptr[i + 1];
+  const std::int32_t* it =
+      std::lower_bound(begin, end, static_cast<std::int32_t>(j));
+  if (it == end || *it != static_cast<std::int32_t>(j)) return 0.0;
+  return a.values[it - a.col_idx];
+}
+
+// A skipped zero term adds a signed zero, which changes the accumulator only
+// when it holds -0; with round-to-nearest that needs a nonzero product that
+// underflows to -0 (an FMA keeps it, an unfused add turns it into +0). From
+// there the dense sum may return to +0 while the sparse one stays at -0, and
+// that is the only way the two can end apart. So each -0 left in a slab's
+// accumulator row is summed again the dense way: every k of the slab, zero
+// terms included, with the same multiply-add. Products of values at least
+// 2^-511 in magnitude cannot underflow, so the drivers only call this when
+// A or B holds a smaller value (zeros count, which is merely cautious).
+void RedoNegativeZeros(const CsrOperand& a, bool trans_a, std::size_t i,
+                       std::size_t pc, std::size_t pc_end, const Matrix& b,
+                       double* acc) {
+  const bool fused = kCsrAxpy != CsrAxpyPortable;
+  for (std::size_t s = 0; s < b.cols(); ++s) {
+    if (acc[s] != 0.0 || !std::signbit(acc[s])) continue;
+    double sum = 0.0;
+    for (std::size_t p = pc; p < pc_end; ++p) {
+      const double av = trans_a ? CsrAt(a, p, i) : CsrAt(a, i, p);
+      sum = fused ? std::fma(av, b(p, s), sum) : sum + av * b(p, s);
+    }
+    acc[s] = sum;
+  }
+}
+
+constexpr unsigned kGemmKCShift = 8;
+static_assert((std::size_t{1} << kGemmKCShift) == kGemmKC,
+              "the CSR row driver finds an entry's k-slab by shifting");
+
+// op(A) = A: one kernel call gathers the B rows named by row i's stored
+// entries into one accumulator row per k-slab; the slabs are then folded
+// into C's row i in k order.
+void GemmCsrRows(double alpha, const CsrOperand& a, const Matrix& b,
+                 double beta, bool may_underflow, Matrix* c) {
+  const std::size_t k = a.cols;
+  const std::size_t n = b.cols();
+  const std::size_t slabs = (k + kGemmKC - 1) / kGemmKC;
+  std::vector<double> acc(slabs * n);
+  for (std::size_t i = 0; i < a.rows; ++i) {
+    const std::int64_t e = a.row_ptr[i];
+    std::fill(acc.begin(), acc.end(), 0.0);
+    kCsrAxpy(static_cast<std::size_t>(a.row_ptr[i + 1] - e), a.col_idx + e,
+             a.values + e, b.data(), n, acc.data(), kGemmKCShift, n, n);
+    for (std::size_t slab = 0; slab < slabs; ++slab) {
+      double* slab_acc = acc.data() + slab * n;
+      const std::size_t pc = slab * kGemmKC;
+      if (may_underflow) {
+        RedoNegativeZeros(a, /*trans_a=*/false, i, pc,
+                          std::min(pc + kGemmKC, k), b, slab_acc);
+      }
+      WriteRow(slab_acc, n, alpha, beta, slab == 0, c->RowPtr(i));
+    }
+  }
+}
+
+// op(A) = A^T: each stored row p of A scatters B's row p into the
+// accumulator rows its entries name; a whole k-slab of rows is accumulated
+// before it is folded into C. With alpha == 1 and beta == 0 the first slab's
+// fold is a plain copy, so that slab accumulates in C itself.
+void GemmCsrTransA(double alpha, const CsrOperand& a, const Matrix& b,
+                   double beta, bool may_underflow, Matrix* c) {
+  const std::size_t m = a.cols;
+  const std::size_t k = a.rows;
+  const std::size_t n = b.cols();
+  const bool first_in_place = alpha == 1.0 && beta == 0.0;
+  Matrix acc;
+  for (std::size_t pc = 0; pc < k; pc += kGemmKC) {
+    const std::size_t pc_end = std::min(pc + kGemmKC, k);
+    const bool in_place = pc == 0 && first_in_place;
+    Matrix* dst = in_place ? c : &acc;
+    if (!in_place && acc.rows() == 0) acc.Resize(m, n);
+    dst->SetZero();
+    for (std::size_t p = pc; p < pc_end; ++p) {
+      const std::int64_t e = a.row_ptr[p];
+      kCsrAxpy(static_cast<std::size_t>(a.row_ptr[p + 1] - e), a.col_idx + e,
+               a.values + e, b.RowPtr(p), 0, dst->data(), 0, n, n);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      if (may_underflow) {
+        RedoNegativeZeros(a, /*trans_a=*/true, i, pc, pc_end, b,
+                          dst->RowPtr(i));
+      }
+      if (!in_place) {
+        WriteRow(acc.RowPtr(i), n, alpha, beta, pc == 0, c->RowPtr(i));
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -248,7 +450,7 @@ void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
     ScaleOrZero(beta, c);
     return;
   }
-  RecordGemmCall(m, n, k);
+  RecordGemmCall(GemmShapeClass(m, n), 2ull * m * n * k);
 
   const std::size_t max_nc = std::min(kGemmNC, n);
   const std::size_t max_kc = std::min(kGemmKC, k);
@@ -287,6 +489,36 @@ void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
         }
       }
     }
+  }
+}
+
+void GemmCsr(double alpha, const CsrOperand& a, bool trans_a, const Matrix& b,
+             double beta, Matrix* c) {
+  const std::size_t m = trans_a ? a.cols : a.rows;
+  const std::size_t k = trans_a ? a.rows : a.cols;
+  const std::size_t n = b.cols();
+  GCON_CHECK_EQ(k, b.rows()) << "gemm: inner dims mismatch";
+  GCON_CHECK_EQ(c->rows(), m);
+  GCON_CHECK_EQ(c->cols(), n);
+  if (m == 0 || n == 0) return;
+  if (k == 0 || alpha == 0.0) {
+    ScaleOrZero(beta, c);
+    return;
+  }
+  const ValueScan b_scan = ScanValues(b.data(), b.size());
+  if (b_scan.non_finite) {
+    // 0 * NaN and 0 * Inf must still poison C (linalg/ops.h), and skipping
+    // A's zeros would drop them.
+    GemmBlocked(alpha, Densify(a), trans_a, b, /*trans_b=*/false, beta, c);
+    return;
+  }
+  const std::size_t nnz = static_cast<std::size_t>(a.row_ptr[a.rows]);
+  RecordGemmCall(kCsrShapeClass, 2ull * nnz * n);
+  const bool may_underflow = b_scan.tiny || ScanValues(a.values, nnz).tiny;
+  if (trans_a) {
+    GemmCsrTransA(alpha, a, b, beta, may_underflow, c);
+  } else {
+    GemmCsrRows(alpha, a, b, beta, may_underflow, c);
   }
 }
 

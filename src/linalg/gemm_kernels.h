@@ -20,10 +20,24 @@
 // thread count. Unlike the pre-blocking kernels there is NO zero-operand
 // short-circuit: a zero in A multiplied by a NaN/Inf in B contributes
 // NaN/Inf to C, exactly as IEEE arithmetic dictates (see linalg/ops.h).
+//
+// GemmCsr is the sparse-A entry to the same engine, for products whose A is
+// mostly zeros (the encoder's bag-of-words features). It is bitwise
+// identical to GemmBlocked on the densified A: each C element is summed over
+// the same KC-deep k-slabs in the same k order, alpha/beta are applied per
+// slab exactly as the blocked driver does, and the fused-or-unfused
+// multiply-add follows the dispatched micro-kernel. Skipping A's structural
+// zeros is exact because a zero term only adds a signed zero to the
+// accumulator; the one case where that sign can reach C (a product that
+// underflows to -0, possible only with values below 2^-511) is detected and
+// recomputed densely. When B holds a NaN or Inf the skip is no longer exact
+// (0 * Inf = NaN), so GemmCsr runs the dense engine instead. It runs on the
+// calling thread.
 #ifndef GCON_LINALG_GEMM_KERNELS_H_
 #define GCON_LINALG_GEMM_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/matrix.h"
 
@@ -46,6 +60,24 @@ inline constexpr std::size_t kGemmNC = 4096;
 /// including NaN, are ignored per BLAS convention).
 void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
                  bool trans_b, double beta, Matrix* c);
+
+/// Read-only view of a canonical CSR matrix: row_ptr holds rows + 1
+/// offsets, column indices are strictly increasing within a row. A view
+/// rather than sparse/CsrMatrix keeps linalg free of the sparse tier.
+struct CsrOperand {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  const std::int64_t* row_ptr = nullptr;
+  const std::int32_t* col_idx = nullptr;
+  const double* values = nullptr;
+};
+
+/// C = alpha * op(A) * B + beta * C with A sparse, bitwise identical to
+/// GemmBlocked(alpha, dense(A), trans_a, b, /*trans_b=*/false, beta, c).
+/// Shapes after op: (m x k) * (k x n) -> C (m x n). Runs on the calling
+/// thread.
+void GemmCsr(double alpha, const CsrOperand& a, bool trans_a, const Matrix& b,
+             double beta, Matrix* c);
 
 /// The seed repository's i-k-j triple loop, kept verbatim (minus the
 /// zero-operand skip) as the reference the blocked kernel is tested and

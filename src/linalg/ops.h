@@ -17,6 +17,12 @@
 //     other matrix.) The only zero tests are the BLAS-conventional ones on
 //     the *scalars* alpha (alpha == 0 skips the product entirely) and beta
 //     (beta == 0 overwrites C without reading it).
+//   * The CSR overloads in sparse/csr_matrix.h (MatMul / MatMulTransA /
+//     SparseGemm with a CsrMatrix left operand) skip A's structural zeros
+//     yet return exactly the bits of the dense call on A.ToDense(): same
+//     k-slabs, same k order, same alpha/beta rounding, same fused-or-unfused
+//     multiply-add. When B holds a NaN or Inf they run the dense engine
+//     instead, so 0 * NaN and 0 * Inf still reach C.
 #ifndef GCON_LINALG_OPS_H_
 #define GCON_LINALG_OPS_H_
 

@@ -1,14 +1,47 @@
 #include "nn/mlp.h"
 
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 #include "linalg/ops.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
 #include "rng/rng.h"
+#include "sparse/csr_matrix.h"
 
 namespace gcon {
+namespace {
+
+// Inputs at most this dense run layer 0 as a CSR product. Both forms give
+// the same bits, so this is a cost cutoff and not a knob.
+constexpr double kCsrMaxDensity = 0.1;
+
+std::optional<CsrMatrix> SparseForm(const Matrix& x) {
+  std::size_t nnz = 0;
+  for (std::size_t k = 0; k < x.size(); ++k) nnz += x.data()[k] != 0.0;
+  if (static_cast<double>(nnz) >
+      kCsrMaxDensity * static_cast<double>(x.size())) {
+    return std::nullopt;
+  }
+  return CsrMatrix::FromDense(x);
+}
+
+const CsrMatrix* OrNull(const std::optional<CsrMatrix>& csr) {
+  return csr.has_value() ? &*csr : nullptr;
+}
+
+// X·W and Xᵀ·dZ, through the CSR product when `x_csr` (x in CSR form) is set.
+Matrix InputTimes(const Matrix& x, const CsrMatrix* x_csr, const Matrix& w) {
+  return x_csr != nullptr ? MatMul(*x_csr, w) : MatMul(x, w);
+}
+
+Matrix InputTransTimes(const Matrix& x, const CsrMatrix* x_csr,
+                       const Matrix& dz) {
+  return x_csr != nullptr ? MatMulTransA(*x_csr, dz) : MatMulTransA(x, dz);
+}
+
+}  // namespace
 
 void GlorotInit(Matrix* w, std::uint64_t seed) {
   Rng rng(seed);
@@ -45,12 +78,12 @@ Mlp::Mlp(const MlpOptions& options) : options_(options) {
   }
 }
 
-void Mlp::ForwardKeep(const Matrix& x,
-                      std::vector<Matrix>* activations) const {
-  activations->clear();
-  activations->push_back(x);
+void Mlp::ForwardKeep(const Matrix& x, const CsrMatrix* x_csr,
+                      std::vector<Matrix>* outputs) const {
+  outputs->clear();
   for (std::size_t l = 0; l < weights_.size(); ++l) {
-    Matrix z = MatMul(activations->back(), weights_[l]);
+    Matrix z = l > 0 ? MatMul(outputs->back(), weights_[l])
+                     : InputTimes(x, x_csr, weights_[l]);
     const double* b = biases_[l].RowPtr(0);
     for (std::size_t i = 0; i < z.rows(); ++i) {
       double* row = z.RowPtr(i);
@@ -59,22 +92,24 @@ void Mlp::ForwardKeep(const Matrix& x,
     if (l + 1 < weights_.size()) {
       ApplyActivationInPlace(options_.hidden_activation, &z);
     }
-    activations->push_back(std::move(z));
+    outputs->push_back(std::move(z));
   }
 }
 
+std::vector<Matrix> Mlp::LayerOutputs(const Matrix& x) const {
+  std::vector<Matrix> outputs;
+  ForwardKeep(x, OrNull(SparseForm(x)), &outputs);
+  return outputs;
+}
+
 Matrix Mlp::Forward(const Matrix& x) const {
-  std::vector<Matrix> activations;
-  ForwardKeep(x, &activations);
-  return std::move(activations.back());
+  return std::move(LayerOutputs(x).back());
 }
 
 Matrix Mlp::HiddenRepresentation(const Matrix& x, int layer) const {
   GCON_CHECK_GE(layer, 1);
   GCON_CHECK_LT(layer, num_layers());
-  std::vector<Matrix> activations;
-  ForwardKeep(x, &activations);
-  return std::move(activations[static_cast<std::size_t>(layer)]);
+  return std::move(LayerOutputs(x)[static_cast<std::size_t>(layer - 1)]);
 }
 
 std::vector<int> Mlp::Predict(const Matrix& x) const {
@@ -89,16 +124,23 @@ std::vector<int> Mlp::Predict(const Matrix& x) const {
 double Mlp::LossAndGrads(const Matrix& x, const std::vector<int>& labels,
                          const std::vector<int>& idx, std::vector<Matrix>* dw,
                          std::vector<Matrix>* db) const {
-  std::vector<Matrix> activations;
-  ForwardKeep(x, &activations);
+  return LossAndGrads(x, OrNull(SparseForm(x)), labels, idx, dw, db);
+}
+
+double Mlp::LossAndGrads(const Matrix& x, const CsrMatrix* x_csr,
+                         const std::vector<int>& labels,
+                         const std::vector<int>& idx, std::vector<Matrix>* dw,
+                         std::vector<Matrix>* db) const {
+  std::vector<Matrix> outputs;
+  ForwardKeep(x, x_csr, &outputs);
   Matrix dz;
-  const double loss =
-      SoftmaxCrossEntropy(activations.back(), labels, idx, &dz);
+  const double loss = SoftmaxCrossEntropy(outputs.back(), labels, idx, &dz);
   const std::size_t layer_count = weights_.size();
   dw->assign(layer_count, Matrix());
   db->assign(layer_count, Matrix());
   for (std::size_t l = layer_count; l-- > 0;) {
-    (*dw)[l] = MatMulTransA(activations[l], dz);
+    (*dw)[l] = l > 0 ? MatMulTransA(outputs[l - 1], dz)
+                     : InputTransTimes(x, x_csr, dz);
     Matrix bias_grad(1, dz.cols());
     for (std::size_t j = 0; j < dz.cols(); ++j) {
       bias_grad(0, j) = ColSum(dz, j);
@@ -107,7 +149,7 @@ double Mlp::LossAndGrads(const Matrix& x, const std::vector<int>& labels,
     if (l == 0) break;
     Matrix dh = MatMulTransB(dz, weights_[l]);
     Matrix deriv;
-    ActivationDerivFromOutput(options_.hidden_activation, activations[l],
+    ActivationDerivFromOutput(options_.hidden_activation, outputs[l - 1],
                               &deriv);
     dz = Hadamard(dh, deriv);
   }
@@ -126,11 +168,14 @@ double Mlp::Train(const Matrix& x, const std::vector<int>& labels,
     labels_train[i] = labels[static_cast<std::size_t>(train_idx[i])];
     local_idx[i] = static_cast<int>(i);
   }
+  const std::optional<CsrMatrix> train_csr = SparseForm(x_train);
   Matrix x_val;
+  std::optional<CsrMatrix> val_csr;
   std::vector<int> labels_val;
   std::vector<int> local_val_idx;
   if (!val_idx.empty()) {
     x_val = GatherRows(x, val_idx);
+    val_csr = SparseForm(x_val);
     labels_val.resize(val_idx.size());
     local_val_idx.resize(val_idx.size());
     for (std::size_t i = 0; i < val_idx.size(); ++i) {
@@ -153,9 +198,10 @@ double Mlp::Train(const Matrix& x, const std::vector<int>& labels,
   std::vector<Matrix> best_w = weights_;
   std::vector<Matrix> best_b = biases_;
   double last_loss = 0.0;
-  std::vector<Matrix> dw, db;
+  std::vector<Matrix> dw, db, val_outputs;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    last_loss = LossAndGrads(x_train, labels_train, local_idx, &dw, &db);
+    last_loss = LossAndGrads(x_train, OrNull(train_csr), labels_train,
+                             local_idx, &dw, &db);
     adam.BeginStep();
     for (std::size_t l = 0; l < weights_.size(); ++l) {
       adam.Step(w_slot[l], dw[l], &weights_[l]);
@@ -163,8 +209,9 @@ double Mlp::Train(const Matrix& x, const std::vector<int>& labels,
     }
     if (!val_idx.empty() &&
         (epoch % options_.eval_every == 0 || epoch + 1 == options_.epochs)) {
-      const Matrix val_logits = Forward(x_val);
-      const double acc = Accuracy(val_logits, labels_val, local_val_idx);
+      ForwardKeep(x_val, OrNull(val_csr), &val_outputs);
+      const double acc =
+          Accuracy(val_outputs.back(), labels_val, local_val_idx);
       if (acc > best_val) {
         best_val = acc;
         best_w = weights_;

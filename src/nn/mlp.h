@@ -9,6 +9,11 @@
 //   3. classifier heads inside GAP / ProGAP / LPGNet.
 // Training is full-batch Adam on softmax cross-entropy with optional
 // validation-based model selection (best weights restored).
+//
+// Layer 0 multiplies the raw input, which for bag-of-words features is
+// mostly zeros. An input sparse enough runs that product (forward X·W0 and
+// gradient Xᵀ·dZ) as a CSR product; its bits equal the dense GEMM's
+// (sparse/csr_matrix.h), so the choice changes the cost and never a result.
 #ifndef GCON_NN_MLP_H_
 #define GCON_NN_MLP_H_
 
@@ -19,6 +24,8 @@
 #include "nn/activations.h"
 
 namespace gcon {
+
+class CsrMatrix;
 
 struct MlpOptions {
   /// Layer widths, input first, logits last, e.g. {d0, 64, d1, c}.
@@ -43,6 +50,11 @@ class Mlp {
   /// (1-based; `layer` in [1, num_layers-1]). layer = num_layers-1 is the
   /// penultimate representation used by the GCON encoder.
   Matrix HiddenRepresentation(const Matrix& x, int layer) const;
+
+  /// Every layer's output for x in one pass: element l is layer l+1's
+  /// post-activation output (HiddenRepresentation(x, l + 1)), and back() is
+  /// the logits (Forward(x)).
+  std::vector<Matrix> LayerOutputs(const Matrix& x) const;
 
   /// Argmax class predictions for each row of x.
   std::vector<int> Predict(const Matrix& x) const;
@@ -76,8 +88,15 @@ class Mlp {
   const MlpOptions& options() const { return options_; }
 
  private:
-  /// Forward keeping every post-activation (activations[0] = input).
-  void ForwardKeep(const Matrix& x, std::vector<Matrix>* activations) const;
+  /// Forward keeping every layer's output (outputs[l] = layer l's
+  /// post-activation output; the input is not copied). Layer 0 reads
+  /// `x_csr`, the same matrix as `x` in CSR form, when it is set.
+  void ForwardKeep(const Matrix& x, const CsrMatrix* x_csr,
+                   std::vector<Matrix>* outputs) const;
+  double LossAndGrads(const Matrix& x, const CsrMatrix* x_csr,
+                      const std::vector<int>& labels,
+                      const std::vector<int>& idx, std::vector<Matrix>* dw,
+                      std::vector<Matrix>* db) const;
 
   MlpOptions options_;
   std::vector<Matrix> weights_;  // weights_[l]: dims[l] x dims[l+1]

@@ -1,8 +1,10 @@
 #include "sparse/csr_matrix.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
+#include "linalg/gemm_kernels.h"
 
 namespace gcon {
 
@@ -18,6 +20,23 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
   GCON_CHECK_EQ(row_ptr_.size(), rows_ + 1);
   GCON_CHECK_EQ(col_idx_.size(), values_.size());
   GCON_CHECK_EQ(static_cast<std::size_t>(row_ptr_.back()), values_.size());
+}
+
+CsrMatrix CsrMatrix::FromDense(const Matrix& dense) {
+  std::vector<std::int64_t> row_ptr(dense.rows() + 1, 0);
+  std::vector<std::int32_t> col_idx;
+  std::vector<double> values;
+  for (std::size_t i = 0; i < dense.rows(); ++i) {
+    const double* row = dense.RowPtr(i);
+    for (std::size_t j = 0; j < dense.cols(); ++j) {
+      if (row[j] == 0.0 && !std::signbit(row[j])) continue;
+      col_idx.push_back(static_cast<std::int32_t>(j));
+      values.push_back(row[j]);
+    }
+    row_ptr[i + 1] = static_cast<std::int64_t>(values.size());
+  }
+  return CsrMatrix(dense.rows(), dense.cols(), std::move(row_ptr),
+                   std::move(col_idx), std::move(values));
 }
 
 double CsrMatrix::At(std::size_t i, std::size_t j) const {
@@ -138,6 +157,25 @@ void CsrMatrix::ScaleRows(const std::vector<double>& scale) {
       values_[static_cast<std::size_t>(k)] *= scale[i];
     }
   }
+}
+
+void SparseGemm(double alpha, const CsrMatrix& a, bool trans_a,
+                const Matrix& b, double beta, Matrix* c) {
+  const internal::CsrOperand view{a.rows(), a.cols(), a.row_ptr().data(),
+                                  a.col_idx().data(), a.values().data()};
+  internal::GemmCsr(alpha, view, trans_a, b, beta, c);
+}
+
+Matrix MatMul(const CsrMatrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  SparseGemm(1.0, a, /*trans_a=*/false, b, 0.0, &c);
+  return c;
+}
+
+Matrix MatMulTransA(const CsrMatrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols());
+  SparseGemm(1.0, a, /*trans_a=*/true, b, 0.0, &c);
+  return c;
 }
 
 void CooBuilder::Reserve(std::size_t n) { entries_.reserve(n); }

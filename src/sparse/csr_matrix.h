@@ -24,6 +24,10 @@ class CsrMatrix {
   CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::int64_t> row_ptr,
             std::vector<std::int32_t> col_idx, std::vector<double> values);
 
+  /// Canonical CSR of a dense matrix: stores every entry except +0, so
+  /// ToDense() returns the same bits (-0, NaN and Inf are stored).
+  static CsrMatrix FromDense(const Matrix& dense);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return values_.size(); }
@@ -80,6 +84,23 @@ class CsrMatrix {
   std::vector<std::int32_t> col_idx_;
   std::vector<double> values_;
 };
+
+// Dense-engine products with a sparse left operand. Unlike
+// CsrMatrix::Multiply (the propagation SpMM, with its own accumulation
+// order), these run internal::GemmCsr and so return exactly the bits of the
+// dense call on a.ToDense(): MatMul(a, b) == MatMul(a.ToDense(), b) and
+// likewise for the other two, NaN/Inf in b included.
+
+/// C = A * B. Shapes: (m x k) * (k x n) -> (m x n).
+Matrix MatMul(const CsrMatrix& a, const Matrix& b);
+
+/// C = A^T * B. Shapes: (k x m)^T * (k x n) -> (m x n).
+Matrix MatMulTransA(const CsrMatrix& a, const Matrix& b);
+
+/// C = alpha * op(A) * B + beta * C, op(A) = A^T when `trans_a` (C must
+/// already be m x n).
+void SparseGemm(double alpha, const CsrMatrix& a, bool trans_a,
+                const Matrix& b, double beta, Matrix* c);
 
 /// Accumulates (i, j, value) triplets and builds canonical CSR. Duplicate
 /// coordinates are summed.

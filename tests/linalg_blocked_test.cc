@@ -2,16 +2,20 @@
 // shape sweeps crossing every blocking boundary, alpha/beta handling, the
 // transposed drivers, empty operands, the parallelized matrix-vector /
 // transpose kernels, and the NaN/Inf propagation policy the old
-// zero-operand short-circuits violated.
+// zero-operand short-circuits violated. The CSR product (GemmCsr) is held to
+// the blocked engine's exact bits on the densified operand.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "linalg/gemm_kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/ops.h"
+#include "obs/metrics.h"
 #include "rng/rng.h"
+#include "sparse/csr_matrix.h"
 
 namespace gcon {
 namespace {
@@ -123,6 +127,113 @@ TEST(BlockedGemm, RepeatedCallsAreBitwiseIdentical) {
   EXPECT_TRUE(first.AllClose(second, 0.0));
 }
 
+// --- CSR x dense: bitwise the blocked engine's result ----------------------
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Non-integer values at `density`, with row 0 empty and column 1 all zero.
+Matrix SparseRandomMatrix(std::size_t rows, std::size_t cols, double density,
+                          Rng* rng) {
+  Matrix m(rows, cols);
+  for (std::size_t i = 1; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      if (j != 1 && rng->Uniform(0.0, 1.0) < density) {
+        m(i, j) = rng->Uniform(-3.0, 3.0);
+      }
+    }
+  }
+  return m;
+}
+
+// C = alpha * op(A) * B + beta * C0 through SparseGemm and through
+// GemmBlocked on A.ToDense(); the two must agree bit for bit.
+void ExpectCsrMatchesDense(std::size_t m, std::size_t k, std::size_t n,
+                           bool trans_a, double density, Rng* rng) {
+  const Matrix a_dense = trans_a ? SparseRandomMatrix(k, m, density, rng)
+                                 : SparseRandomMatrix(m, k, density, rng);
+  const CsrMatrix a = CsrMatrix::FromDense(a_dense);
+  const Matrix b = RandomMatrix(k, n, rng);
+  const Matrix c0 = RandomMatrix(m, n, rng);
+  for (double alpha : {1.0, -0.5, 2.0}) {
+    for (double beta : {0.0, 0.25, 1.0}) {
+      Matrix got = c0;
+      SparseGemm(alpha, a, trans_a, b, beta, &got);
+      Matrix want = c0;
+      internal::GemmBlocked(alpha, a.ToDense(), trans_a, b, /*trans_b=*/false,
+                            beta, &want);
+      EXPECT_TRUE(BitEqual(got, want))
+          << "m=" << m << " k=" << k << " n=" << n << " trans_a=" << trans_a
+          << " alpha=" << alpha << " beta=" << beta;
+    }
+  }
+}
+
+TEST(CsrGemm, BitwiseMatchesBlockedEngine) {
+  Rng rng(139);
+  // k = 700 and 2879 span several KC = 256 slabs; 140 x 2879 x 32 is the
+  // cora_ml encoder's first layer.
+  const Shape shapes[] = {{1, 1, 1},     {3, 5, 9},    {5, 256, 3},
+                          {130, 257, 12}, {37, 700, 13}, {9, 2879, 5},
+                          {140, 2879, 32}};
+  for (const Shape& s : shapes) {
+    for (bool trans_a : {false, true}) {
+      ExpectCsrMatchesDense(s.m, s.k, s.n, trans_a, 0.05, &rng);
+    }
+  }
+}
+
+TEST(CsrGemm, DenseAndEmptyOperandsMatchBlockedEngine) {
+  Rng rng(149);
+  for (bool trans_a : {false, true}) {
+    ExpectCsrMatchesDense(20, 300, 7, trans_a, 1.0, &rng);
+    ExpectCsrMatchesDense(20, 300, 7, trans_a, 0.0, &rng);
+    ExpectCsrMatchesDense(0, 5, 3, trans_a, 0.5, &rng);
+    ExpectCsrMatchesDense(4, 0, 3, trans_a, 0.5, &rng);
+    ExpectCsrMatchesDense(4, 5, 0, trans_a, 0.5, &rng);
+  }
+}
+
+TEST(CsrGemm, UnderflowSignedZeroMatchesBlockedEngine) {
+  // 1e-200 * -1e-200 underflows to -0. The dense sum then adds A's zero
+  // times B's second row, and the signs of those zeros decide whether the
+  // result stays -0 or turns +0 (column by column, and flipped when A holds
+  // -0 there). Skipping the zero must not change either sign.
+  const Matrix b{{-1e-200, -1e-200}, {1.0, -1.0}};
+  for (double zero : {0.0, -0.0}) {
+    for (bool trans_a : {false, true}) {
+      const Matrix a_dense =
+          trans_a ? Matrix{{1e-200}, {zero}} : Matrix{{1e-200, zero}};
+      Matrix got(1, 2);
+      SparseGemm(1.0, CsrMatrix::FromDense(a_dense), trans_a, b, 0.0, &got);
+      Matrix want(1, 2);
+      internal::GemmBlocked(1.0, a_dense, trans_a, b, /*trans_b=*/false, 0.0,
+                            &want);
+      EXPECT_TRUE(BitEqual(got, want))
+          << "zero=" << zero << " trans_a=" << trans_a;
+    }
+  }
+}
+
+TEST(CsrGemm, CountsStoredEntryFlopsUnderCsrShape) {
+  obs::Counter* calls = obs::MetricsRegistry::Global().counter(
+      "gcon_gemm_calls_total", "", {{"shape", "csr"}});
+  obs::Counter* flops = obs::MetricsRegistry::Global().counter(
+      "gcon_gemm_flops_total", "", {{"shape", "csr"}});
+  Rng rng(151);
+  const CsrMatrix a =
+      CsrMatrix::FromDense(SparseRandomMatrix(30, 400, 0.03, &rng));
+  const Matrix b = RandomMatrix(400, 6, &rng);
+  const std::uint64_t calls0 = calls->value();
+  const std::uint64_t flops0 = flops->value();
+  MatMul(a, b);
+  EXPECT_EQ(calls->value() - calls0, 1u);
+  EXPECT_EQ(flops->value() - flops0, 2u * a.nnz() * 6u);
+}
+
 // --- NaN/Inf policy ---------------------------------------------------------
 // The seed kernels skipped `av == 0` operands, so a NaN/Inf in the other
 // matrix silently vanished from the product. The blocked kernels (and the
@@ -158,6 +269,28 @@ TEST(NanPolicy, MatVecTransAPropagatesNanPastZeroWeight) {
   const auto y = MatVecTransA(a, {0.0});
   EXPECT_TRUE(std::isnan(y[0]));  // 0 * NaN
   EXPECT_DOUBLE_EQ(y[1], 0.0);
+}
+
+TEST(NanPolicy, CsrGemmPropagatesNanAndInfPastStructuralZero) {
+  // Column 1 of A stores nothing, so B's row 1 meets only structural zeros:
+  // 0 * NaN and 0 * Inf must still reach every row of C.
+  const Matrix a_dense{{0.5, 0.0, 0.0}, {0.0, 0.0, 2.0}};
+  Matrix b(3, 2, 1.0);
+  b(1, 0) = std::numeric_limits<double>::quiet_NaN();
+  b(1, 1) = std::numeric_limits<double>::infinity();
+  const CsrMatrix a = CsrMatrix::FromDense(a_dense);
+  const Matrix c = MatMul(a, b);
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    EXPECT_TRUE(std::isnan(c(i, 0)));
+    EXPECT_TRUE(std::isnan(c(i, 1)));
+  }
+  EXPECT_TRUE(BitEqual(c, MatMul(a_dense, b)));
+  // op(A) = A^T: stored row 1 of A^T's operand is all zeros.
+  const CsrMatrix at = CsrMatrix::FromDense(Transpose(a_dense));
+  const Matrix ct = MatMulTransA(at, b);
+  EXPECT_TRUE(std::isnan(ct(0, 0)));
+  EXPECT_TRUE(std::isnan(ct(1, 1)));
+  EXPECT_TRUE(BitEqual(ct, MatMulTransA(Transpose(a_dense), b)));
 }
 
 // --- parallelized aux kernels ----------------------------------------------

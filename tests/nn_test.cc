@@ -1,16 +1,31 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/ops.h"
 #include "nn/activations.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "nn/optim.h"
+#include "obs/metrics.h"
 #include "rng/rng.h"
 
 namespace gcon {
 namespace {
+
+// Calls of the CSR product so far: tells which form layer 0 ran in.
+std::uint64_t CsrGemmCalls() {
+  return obs::MetricsRegistry::Global()
+      .counter("gcon_gemm_calls_total", "", {{"shape", "csr"}})
+      ->value();
+}
+
+bool RowBitEqual(const Matrix& a, std::size_t i, const Matrix& b,
+                 std::size_t j) {
+  return a.cols() == b.cols() &&
+         std::memcmp(a.RowPtr(i), b.RowPtr(j), a.cols() * sizeof(double)) == 0;
+}
 
 TEST(Activations, ReluClampsNegative) {
   Matrix m{{-1.0, 0.0, 2.0}};
@@ -190,19 +205,17 @@ TEST(Mlp, GlorotInitBounded) {
   EXPECT_GT(max_abs, 0.2 * limit);  // not degenerate
 }
 
-TEST(Mlp, GradientsMatchFiniteDifference) {
+// Central differences of the loss against LossAndGrads, on a few weight
+// entries of every layer of a {x.cols(), 4, 2} tanh MLP.
+void ExpectGradientsMatchFiniteDifference(const Matrix& x,
+                                          const std::vector<int>& labels) {
   MlpOptions options;
-  options.dims = {3, 4, 2};
+  options.dims = {static_cast<int>(x.cols()), 4, 2};
   options.hidden_activation = Activation::kTanh;
   options.seed = 7;
   Mlp mlp(options);
-  Rng rng(9);
-  Matrix x(5, 3);
-  for (std::size_t k = 0; k < x.size(); ++k) {
-    x.data()[k] = rng.Uniform(-1.0, 1.0);
-  }
-  const std::vector<int> labels = {0, 1, 0, 1, 1};
-  const std::vector<int> idx = {0, 1, 2, 3, 4};
+  std::vector<int> idx(x.rows());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<int>(i);
   std::vector<Matrix> dw, db;
   mlp.LossAndGrads(x, labels, idx, &dw, &db);
 
@@ -226,6 +239,33 @@ TEST(Mlp, GradientsMatchFiniteDifference) {
           << "layer " << layer << " entry " << k;
     }
   }
+}
+
+TEST(Mlp, GradientsMatchFiniteDifference) {
+  Rng rng(9);
+  Matrix x(5, 3);
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    x.data()[k] = rng.Uniform(-1.0, 1.0);
+  }
+  ExpectGradientsMatchFiniteDifference(x, {0, 1, 0, 1, 1});
+
+  // A ~2%-dense input runs layer 0 (forward and the Xᵀ·dZ weight gradient)
+  // as a CSR product. Features 0 and 1 are set so the checked layer-0
+  // entries (rows 0 and 1 of W0) carry a nonzero gradient.
+  Matrix sparse(20, 100);
+  std::vector<int> labels(sparse.rows());
+  for (std::size_t i = 0; i < sparse.rows(); ++i) {
+    labels[i] = static_cast<int>(i % 2);
+    for (std::size_t j = 0; j < sparse.cols(); ++j) {
+      if (rng.Uniform(0.0, 1.0) < 0.02) sparse(i, j) = rng.Uniform(0.1, 1.0);
+    }
+  }
+  sparse(2, 0) = 0.7;
+  sparse(5, 1) = -0.4;
+  sparse(8, 1) = 0.9;
+  const std::uint64_t csr_calls = CsrGemmCalls();
+  ExpectGradientsMatchFiniteDifference(sparse, labels);
+  EXPECT_GT(CsrGemmCalls(), csr_calls);
 }
 
 TEST(Mlp, LearnsLinearlySeparableData) {
@@ -276,6 +316,47 @@ TEST(Mlp, HiddenRepresentationShape) {
   EXPECT_EQ(mlp.HiddenRepresentation(x, 1).cols(), 10u);
   EXPECT_EQ(mlp.HiddenRepresentation(x, 2).cols(), 4u);
   EXPECT_EQ(mlp.Forward(x).cols(), 3u);
+}
+
+TEST(Mlp, MixedDensityBatchMatchesRowsAloneBitwise) {
+  // A batch of sparse rows plus one dense row is under the CSR cutoff, so
+  // layer 0 runs sparse for it; the dense row alone runs the blocked GEMM.
+  // Row by row, every output must carry the same bits either way.
+  MlpOptions options;
+  options.dims = {200, 8, 4, 3};
+  options.seed = 17;
+  Mlp mlp(options);
+  Rng rng(19);
+  Matrix batch(32, 200);
+  for (std::size_t j = 0; j < batch.cols(); ++j) {
+    batch(0, j) = rng.Uniform(-1.0, 1.0);
+  }
+  for (std::size_t i = 1; i < batch.rows(); ++i) {
+    for (int t = 0; t < 4; ++t) {
+      batch(i, static_cast<std::size_t>(rng.UniformInt(200))) =
+          rng.Uniform(0.1, 1.0);
+    }
+  }
+  const std::uint64_t csr_calls = CsrGemmCalls();
+  const std::vector<Matrix> outputs = mlp.LayerOutputs(batch);
+  EXPECT_GT(CsrGemmCalls(), csr_calls) << "the batch should run sparse";
+  ASSERT_EQ(outputs.size(), 3u);
+  const Matrix hidden = mlp.HiddenRepresentation(batch, 2);
+  const Matrix logits = mlp.Forward(batch);
+  for (std::size_t i = 0; i < batch.rows(); ++i) {
+    EXPECT_TRUE(RowBitEqual(outputs[1], i, hidden, i));
+    EXPECT_TRUE(RowBitEqual(outputs[2], i, logits, i));
+    Matrix row(1, batch.cols());
+    std::memcpy(row.RowPtr(0), batch.RowPtr(i),
+                batch.cols() * sizeof(double));
+    const std::uint64_t before = CsrGemmCalls();
+    const Matrix hidden_alone = mlp.HiddenRepresentation(row, 2);
+    if (i == 0) {
+      EXPECT_EQ(CsrGemmCalls(), before) << "the dense row should run dense";
+    }
+    EXPECT_TRUE(RowBitEqual(hidden, i, hidden_alone, 0)) << "row " << i;
+    EXPECT_TRUE(RowBitEqual(logits, i, mlp.Forward(row), 0)) << "row " << i;
+  }
 }
 
 TEST(Mlp, ValidationSelectionKeepsBestWeights) {

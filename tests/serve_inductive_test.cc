@@ -15,6 +15,7 @@
 #include "graph/datasets.h"
 #include "model/adapters.h"
 #include "nn/mlp.h"
+#include "obs/metrics.h"
 #include "propagation/cache.h"
 #include "rng/rng.h"
 #include "serve_test_util.h"
@@ -161,6 +162,56 @@ TEST(ServeInductive, BatchCompositionDoesNotChangeInductiveBits) {
   EXPECT_EQ(std::memcmp(alone.RowPtr(0), mixed.RowPtr(2),
                         alone.cols() * sizeof(double)),
             0);
+}
+
+TEST(ServeInductive, MixedDensityBatchMatchesEachQueryAloneAndOffline) {
+  // One dense feature row among sparse ones: the coalesced batch is sparse
+  // enough that the encoder runs layer 0 as a CSR product, while the dense
+  // query alone runs the blocked GEMM. Every row must still equal both its
+  // own single-query answer and the offline forward on the augmented graph.
+  const Graph graph = TestGraph();
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 53);
+  const InferenceSession session(artifact, graph);
+  const int dim = graph.feature_dim();
+
+  std::vector<ServeRequest> requests(32);
+  for (std::size_t q = 0; q < requests.size(); ++q) {
+    ServeRequest& request = requests[q];
+    request.has_features = true;
+    if (q == 0) {
+      request.features = RandomFeatures(dim, 59);
+    } else {
+      request.features.assign(static_cast<std::size_t>(dim), 0.0);
+      request.features[q % static_cast<std::size_t>(dim)] = 0.25 * q;
+    }
+    request.has_edges = true;
+    request.edges = {static_cast<int>(q), static_cast<int>(3 * q + 1)};
+  }
+  std::vector<const ServeRequest*> batch;
+  for (const ServeRequest& request : requests) batch.push_back(&request);
+
+  const obs::Counter* csr_calls = obs::MetricsRegistry::Global().counter(
+      "gcon_gemm_calls_total", "", {{"shape", "csr"}});
+  const std::uint64_t before_batch = csr_calls->value();
+  const Matrix coalesced = session.QueryBatch(batch);
+  EXPECT_GT(csr_calls->value(), before_batch) << "the batch should run sparse";
+  for (std::size_t q = 0; q < requests.size(); ++q) {
+    const std::uint64_t before_alone = csr_calls->value();
+    const std::vector<double> alone = session.QueryLogits(requests[q]);
+    if (q == 0) {
+      EXPECT_EQ(csr_calls->value(), before_alone)
+          << "the dense query alone should run dense";
+    }
+    EXPECT_TRUE(BitwiseEqual(coalesced.RowPtr(q), alone)) << "query " << q;
+    // Offline inference rebuilds the augmented graph's transition, so a
+    // spread of queries (the dense one included) keeps the test fast.
+    if (q % 4 != 0) continue;
+    const Matrix offline = artifact.Infer(
+        AugmentGraph(graph, requests[q].features, requests[q].edges));
+    EXPECT_TRUE(BitwiseEqual(
+        offline.RowPtr(static_cast<std::size_t>(graph.num_nodes())), alone))
+        << "query " << q;
+  }
 }
 
 // --- Through the server (micro-batched, concurrent) ------------------------

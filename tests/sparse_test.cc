@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "linalg/ops.h"
 #include "rng/rng.h"
 #include "sparse/csr_matrix.h"
@@ -74,6 +78,22 @@ TEST(CsrMatrix, ToDenseRoundTrip) {
   Rng rng(31);
   const auto [sparse, dense] = RandomSparse(8, 6, 0.3, &rng);
   EXPECT_TRUE(sparse.ToDense().AllClose(dense));
+}
+
+TEST(CsrMatrix, FromDenseRoundTripsBitwise) {
+  Rng rng(33);
+  Matrix x = RandomSparse(8, 6, 0.3, &rng).dense;
+  x(0, 1) = -0.0;
+  x(2, 2) = std::numeric_limits<double>::quiet_NaN();
+  x(3, 0) = -std::numeric_limits<double>::infinity();
+  const CsrMatrix csr = CsrMatrix::FromDense(x);
+  std::size_t stored = 0;  // every entry but +0
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    stored += x.data()[k] != 0.0 || std::signbit(x.data()[k]);
+  }
+  EXPECT_EQ(csr.nnz(), stored);
+  const Matrix back = csr.ToDense();
+  EXPECT_EQ(std::memcmp(back.data(), x.data(), x.size() * sizeof(double)), 0);
 }
 
 TEST(CsrMatrix, SpmmMatchesDense) {

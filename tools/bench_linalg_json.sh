@@ -5,7 +5,9 @@
 #   - BM_SpMM carries rows_per_s,
 #   - BM_ApprPropagate / BM_ApprRound* are tracked by real_time (ms),
 #   - BM_DenseGemmSeedNaive is the seed kernel the speedup is measured
-#     against, in the same binary with the same build flags.
+#     against, in the same binary with the same build flags,
+#   - BM_CsrGemm / BM_DenseGemmEncoder are the encoder's first layer as a
+#     CSR and as a dense product (same bits), tracked by real_time.
 #
 # Usage: bench_linalg_json.sh <path-to-bench_micro> [output.json]
 # GCON_PERF_SMOKE=1 shortens min-time for a quick CI smoke run.
@@ -20,7 +22,7 @@ if [ "${GCON_PERF_SMOKE:-0}" = "1" ]; then
 fi
 
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_DenseGemm|BM_SpMM|BM_ApprPropagate|BM_ApprRound|BM_PropagationCacheHit' \
+  --benchmark_filter='BM_DenseGemm|BM_CsrGemm|BM_SpMM|BM_ApprPropagate|BM_ApprRound|BM_PropagationCacheHit' \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_repetitions=1 \
   --benchmark_format=json \
