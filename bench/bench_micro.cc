@@ -1,9 +1,10 @@
 // Kernel micro-benchmarks (google-benchmark): the hot paths of the
 // reproduction — dense GEMM (blocked vs the kept seed-naive reference),
-// the CSR x dense product at the encoder's first-layer shape, SpMM and the
-// fused SpmmAxpby APPR round, propagation, the propagation
-// cache, Erlang-sphere noise sampling, the Theorem 1 parameter chain, and
-// the convex minimization.
+// the CSR x dense product at the encoder's first-layer shape, the encoder's
+// Adam step (scalar reference vs dispatched kernel), SpMM and the fused
+// SpmmAxpby APPR round, propagation, the propagation cache, Erlang-sphere
+// noise sampling, the Theorem 1 parameter chain, and the convex
+// minimization.
 //
 // Counters feed the machine-readable perf artifact
 // (tools/bench_linalg_json.sh -> BENCH_linalg.json): GEMM reports FLOPS
@@ -17,6 +18,7 @@
 #include "graph/datasets.h"
 #include "linalg/gemm_kernels.h"
 #include "linalg/ops.h"
+#include "nn/optim.h"
 #include "propagation/appr.h"
 #include "propagation/cache.h"
 #include "propagation/transition.h"
@@ -136,6 +138,24 @@ void BM_CsrGemm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CsrGemm)->ArgName("trans_a")->Arg(0)->Arg(1);
+
+// One Adam step over the cora_ml encoder's first-layer weights (2879 x 32):
+// the scalar reference loop (dispatched:0) and the kernel Adam::Step runs
+// (dispatched:1, AVX2 where available). Same bits; CI gates their ratio.
+void BM_AdamStep(benchmark::State& state) {
+  const bool dispatched = state.range(0) != 0;
+  Matrix p = RandomMatrix(kEncoderFeatures, kEncoderHidden, 11);
+  const Matrix g = RandomMatrix(kEncoderFeatures, kEncoderHidden, 12);
+  Matrix m(kEncoderFeatures, kEncoderHidden);
+  Matrix v(kEncoderFeatures, kEncoderHidden);
+  const internal::AdamCoefficients k{0.9, 0.999, 0.1, 0.001, 0.01, 1e-8, 1e-5};
+  for (auto _ : state) {
+    (dispatched ? internal::AdamUpdate : internal::AdamUpdateScalar)(
+        k, p.size(), g.data(), p.data(), m.data(), v.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AdamStep)->ArgName("dispatched")->Arg(0)->Arg(1);
 
 void BM_SpMM(benchmark::State& state) {
   DatasetSpec spec = TinySpec();

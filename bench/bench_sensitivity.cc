@@ -51,7 +51,7 @@ int main() {
   spec.num_undirected_edges = 900;
   gcon::Rng gen(11);
   gcon::Graph graph = gcon::GenerateDataset(spec, &gen);
-  gcon::Matrix x = graph.features();
+  gcon::Matrix x = graph.features().ToDense();
   gcon::RowL2NormalizeInPlace(&x);
 
   const std::vector<double> alphas = {0.2, 0.4, 0.6, 0.8};

@@ -403,13 +403,9 @@ TransportResult RunTransportMode(const gcon::GconArtifact& artifact,
     gcon::ServeRequest request;
     request.id = v;
     request.has_features = true;
-    request.features.resize(
-        static_cast<std::size_t>(graph.feature_dim()));
-    const double* row =
-        graph.features().RowPtr(static_cast<std::size_t>(v));
-    for (std::size_t j = 0; j < request.features.size(); ++j) {
-      request.features[j] =
-          static_cast<double>(static_cast<float>(row[j]));
+    request.features = graph.features().RowCopy(static_cast<std::size_t>(v));
+    for (double& value : request.features) {
+      value = static_cast<double>(static_cast<float>(value));
     }
     request.has_edges = true;
     request.edges = graph.Neighbors(v);

@@ -165,16 +165,10 @@ int main(int argc, char** argv) {
   // graph — the equivalence tests/serve_inductive_test.cc locks down.
   const int n = graph.num_nodes();
   gcon::Graph augmented(n + 1, graph.num_classes());
-  gcon::Matrix x(static_cast<std::size_t>(n) + 1,
-                 static_cast<std::size_t>(graph.feature_dim()));
-  for (int v = 0; v < n; ++v) {
-    const double* src = graph.features().RowPtr(static_cast<std::size_t>(v));
-    std::copy(src, src + graph.feature_dim(),
-              x.RowPtr(static_cast<std::size_t>(v)));
-  }
-  std::copy(newcomer.features.begin(), newcomer.features.end(),
-            x.RowPtr(static_cast<std::size_t>(n)));
-  augmented.set_features(std::move(x));
+  gcon::Matrix row(1, static_cast<std::size_t>(graph.feature_dim()));
+  std::copy(newcomer.features.begin(), newcomer.features.end(), row.data());
+  augmented.set_features(gcon::StackRows(graph.features(),
+                                         gcon::CsrMatrix::FromDense(row)));
   for (const auto& [u, v] : graph.EdgeList()) augmented.AddEdge(u, v);
   for (int u : newcomer.edges) augmented.AddEdge(n, u);
   const gcon::Matrix augmented_logits =

@@ -95,20 +95,22 @@ int main(int argc, char** argv) {
     const gcon::GconArtifact artifact =
         gcon::MakeArtifact(prepared, model, 4.0, delta);
     auto api_one_hop = [&](const gcon::Matrix& x) {
-      gcon::Graph probed = graph;           // same topology,
-      probed.set_features(x);               // attacker-chosen features
-      return artifact.Infer(probed);        // Eq. (16): one-hop only
+      // Same topology, attacker-chosen features, Eq. (16): one-hop only.
+      gcon::Graph probed = graph;
+      probed.set_features(gcon::CsrMatrix::FromDense(x));
+      return artifact.Infer(probed);
     };
     auto api_full_propagation = [&](const gcon::Matrix& x) {
       gcon::Graph probed = graph;
-      probed.set_features(x);
+      probed.set_features(gcon::CsrMatrix::FromDense(x));
       return gcon::PublicInferenceOnGraph(prepared, model, probed);
     };
     gcon::Rng rng_a(71), rng_b(72);
     const auto one_hop = gcon::InfluenceAttack(
-        api_one_hop, graph.features(), graph, 400, 0.05, &rng_a);
+        api_one_hop, graph.features().ToDense(), graph, 400, 0.05, &rng_a);
     const auto full = gcon::InfluenceAttack(
-        api_full_propagation, graph.features(), graph, 400, 0.05, &rng_b);
+        api_full_propagation, graph.features().ToDense(), graph, 400, 0.05,
+        &rng_b);
     std::cout << "Influence attack vs an inference API (GCON at eps=4):\n"
               << "  full-propagation serving (unsafe): AUC = " << full.auc
               << "\n"

@@ -24,7 +24,8 @@ Matrix TrainDpsgdGcnAndPredict(const Graph& graph, const Split& split,
   // keeps the matrix alive — it may be the sole owner (cache disabled).
   const PropagationCache::CachedCsr cached_transition =
       PropagationCache::Global().Transition(graph);
-  const Matrix s = cached_transition.csr->Multiply(graph.features());
+  const Matrix s =
+      cached_transition.csr->Multiply(graph.features().ToDense());
   const int c = graph.num_classes();
   const std::size_t d = s.cols();
 

@@ -46,7 +46,7 @@ Matrix TrainGcnAndPredict(const Graph& graph, const Split& split,
           "sym_norm_adj", FingerprintGraph(graph),
           [&] { return SymmetricNormalizedAdjacency(graph); });
   const CsrMatrix& adj = *cached_adj.csr;
-  const Matrix& x = graph.features();
+  const Matrix x = graph.features().ToDense();
   const int c = graph.num_classes();
 
   // Layer parameters.

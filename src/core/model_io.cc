@@ -73,13 +73,9 @@ void SaveModel(const GconArtifact& artifact, const std::string& path) {
   out << "\n";
   out << "theta " << artifact.theta.rows() << " " << artifact.theta.cols()
       << "\n";
-  for (std::size_t i = 0; i < artifact.theta.rows(); ++i) {
-    const double* row = artifact.theta.RowPtr(i);
-    for (std::size_t j = 0; j < artifact.theta.cols(); ++j) {
-      out << row[j] << (j + 1 == artifact.theta.cols() ? "" : " ");
-    }
-    out << "\n";
-  }
+  std::string rows;
+  AppendMatrixRows(artifact.theta, &rows);
+  out << rows;
   SaveMlp(artifact.encoder, &out);
   if (!out.good()) {
     BadArtifact(path, "write failure (disk full or file removed mid-write?)");

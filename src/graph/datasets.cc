@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -232,16 +234,20 @@ Graph GenerateDataset(const DatasetSpec& spec, Rng* rng) {
   }
 
   // --- features: class-conditional sparse bag of words ---------------------
+  // Each node's words go straight into its CSR row (sorted, repeats merged),
+  // so the n x d0 matrix is never materialized.
   const int d0 = spec.num_features;
   const int block = std::max(1, d0 / spec.num_classes);
-  Matrix x(static_cast<std::size_t>(spec.num_nodes),
-           static_cast<std::size_t>(d0));
+  std::vector<std::int64_t> row_ptr(
+      static_cast<std::size_t>(spec.num_nodes) + 1, 0);
+  std::vector<std::int32_t> col_idx;
   for (int v = 0; v < spec.num_nodes; ++v) {
     const int label = graph.label(v);
     const int block_begin = label * block;
     const int block_end = std::min(d0, block_begin + block);
     std::int64_t active = rng->Binomial(d0, spec.feature_density);
     if (active < 2) active = 2;
+    const std::size_t row_begin = col_idx.size();
     for (std::int64_t w = 0; w < active; ++w) {
       int word;
       if (rng->Bernoulli(spec.topic_bias) && block_end > block_begin) {
@@ -250,10 +256,18 @@ Graph GenerateDataset(const DatasetSpec& spec, Rng* rng) {
       } else {
         word = static_cast<int>(rng->UniformInt(static_cast<std::uint64_t>(d0)));
       }
-      x(static_cast<std::size_t>(v), static_cast<std::size_t>(word)) = 1.0;
+      col_idx.push_back(word);
     }
+    const auto row = col_idx.begin() + static_cast<std::ptrdiff_t>(row_begin);
+    std::sort(row, col_idx.end());
+    col_idx.erase(std::unique(row, col_idx.end()), col_idx.end());
+    row_ptr[static_cast<std::size_t>(v) + 1] =
+        static_cast<std::int64_t>(col_idx.size());
   }
-  graph.set_features(std::move(x));
+  std::vector<double> values(col_idx.size(), 1.0);
+  graph.set_features(CsrMatrix(static_cast<std::size_t>(spec.num_nodes),
+                               static_cast<std::size_t>(d0), std::move(row_ptr),
+                               std::move(col_idx), std::move(values)));
   return graph;
 }
 

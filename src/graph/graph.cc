@@ -111,7 +111,7 @@ void Graph::CheckConsistency() const {
     directed += list.size();
   }
   GCON_CHECK_EQ(directed, 2 * num_edges_);
-  if (!features_.empty()) {
+  if (features_.rows() != 0 && features_.cols() != 0) {
     GCON_CHECK_EQ(features_.rows(), static_cast<std::size_t>(num_nodes()));
   }
   for (int v = 0; v < num_nodes(); ++v) {

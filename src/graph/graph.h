@@ -1,10 +1,11 @@
 // Attributed undirected graph for node classification.
 //
 // A Graph owns: sorted adjacency lists (no self-loops; symmetry is enforced
-// by construction), a dense node-feature matrix X (n x d0), integer labels,
-// and the class count. Single-edge Add/Remove are provided because the
-// edge-DP analysis is exercised by property tests that compare neighboring
-// graphs D and D' differing in exactly one edge.
+// by construction), the node-feature matrix X (n x d0) in CSR form —
+// bag-of-words features are 94–99% zeros, so X is never stored dense —
+// integer labels, and the class count. Single-edge Add/Remove are provided
+// because the edge-DP analysis is exercised by property tests that compare
+// neighboring graphs D and D' differing in exactly one edge.
 #ifndef GCON_GRAPH_GRAPH_H_
 #define GCON_GRAPH_GRAPH_H_
 
@@ -55,9 +56,10 @@ class Graph {
 
   // --- attributes ---------------------------------------------------------
 
-  void set_features(Matrix x) { features_ = std::move(x); }
-  const Matrix& features() const { return features_; }
-  Matrix* mutable_features() { return &features_; }
+  /// X in canonical CSR form (CsrMatrix::FromDense of the dense X: every
+  /// entry but +0 stored). Callers that need dense rows call ToDense().
+  void set_features(CsrMatrix x) { features_ = std::move(x); }
+  const CsrMatrix& features() const { return features_; }
   int feature_dim() const { return static_cast<int>(features_.cols()); }
 
   void set_label(int v, int label);
@@ -80,7 +82,7 @@ class Graph {
  private:
   std::vector<std::vector<int>> adj_;
   std::vector<int> labels_;
-  Matrix features_;
+  CsrMatrix features_;
   int num_classes_;
   std::size_t num_edges_ = 0;
 };

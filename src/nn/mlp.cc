@@ -13,8 +13,8 @@
 namespace gcon {
 namespace {
 
-// Inputs at most this dense run layer 0 as a CSR product. Both forms give
-// the same bits, so this is a cost cutoff and not a knob.
+// Dense inputs at most this dense run layer 0 as a CSR product. Both forms
+// give the same bits, so this is a cost cutoff and not a knob.
 constexpr double kCsrMaxDensity = 0.1;
 
 std::optional<CsrMatrix> SparseForm(const Matrix& x) {
@@ -31,14 +31,27 @@ const CsrMatrix* OrNull(const std::optional<CsrMatrix>& csr) {
   return csr.has_value() ? &*csr : nullptr;
 }
 
-// X·W and Xᵀ·dZ, through the CSR product when `x_csr` (x in CSR form) is set.
-Matrix InputTimes(const Matrix& x, const CsrMatrix* x_csr, const Matrix& w) {
-  return x_csr != nullptr ? MatMul(*x_csr, w) : MatMul(x, w);
+std::vector<int> GatherLabels(const std::vector<int>& labels,
+                              const std::vector<int>& idx) {
+  std::vector<int> out(idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    out[i] = labels[static_cast<std::size_t>(idx[i])];
+  }
+  return out;
 }
 
-Matrix InputTransTimes(const Matrix& x, const CsrMatrix* x_csr,
-                       const Matrix& dz) {
-  return x_csr != nullptr ? MatMulTransA(*x_csr, dz) : MatMulTransA(x, dz);
+std::vector<int> LocalIndex(std::size_t count) {
+  std::vector<int> idx(count);
+  for (std::size_t i = 0; i < count; ++i) idx[i] = static_cast<int>(i);
+  return idx;
+}
+
+std::vector<int> ArgMaxRows(const Matrix& logits) {
+  std::vector<int> out(logits.rows());
+  for (std::size_t i = 0; i < logits.rows(); ++i) {
+    out[i] = static_cast<int>(RowArgMax(logits, i));
+  }
+  return out;
 }
 
 }  // namespace
@@ -78,12 +91,19 @@ Mlp::Mlp(const MlpOptions& options) : options_(options) {
   }
 }
 
-void Mlp::ForwardKeep(const Matrix& x, const CsrMatrix* x_csr,
-                      std::vector<Matrix>* outputs) const {
+Matrix Mlp::Input::Times(const Matrix& w) const {
+  return csr != nullptr ? MatMul(*csr, w) : MatMul(*dense, w);
+}
+
+Matrix Mlp::Input::TransTimes(const Matrix& dz) const {
+  return csr != nullptr ? MatMulTransA(*csr, dz) : MatMulTransA(*dense, dz);
+}
+
+void Mlp::ForwardKeep(Input x, std::vector<Matrix>* outputs) const {
   outputs->clear();
   for (std::size_t l = 0; l < weights_.size(); ++l) {
     Matrix z = l > 0 ? MatMul(outputs->back(), weights_[l])
-                     : InputTimes(x, x_csr, weights_[l]);
+                     : x.Times(weights_[l]);
     const double* b = biases_[l].RowPtr(0);
     for (std::size_t i = 0; i < z.rows(); ++i) {
       double* row = z.RowPtr(i);
@@ -97,12 +117,23 @@ void Mlp::ForwardKeep(const Matrix& x, const CsrMatrix* x_csr,
 }
 
 std::vector<Matrix> Mlp::LayerOutputs(const Matrix& x) const {
+  const std::optional<CsrMatrix> csr = SparseForm(x);
   std::vector<Matrix> outputs;
-  ForwardKeep(x, OrNull(SparseForm(x)), &outputs);
+  ForwardKeep(Input{&x, OrNull(csr)}, &outputs);
+  return outputs;
+}
+
+std::vector<Matrix> Mlp::LayerOutputs(const CsrMatrix& x) const {
+  std::vector<Matrix> outputs;
+  ForwardKeep(Input{nullptr, &x}, &outputs);
   return outputs;
 }
 
 Matrix Mlp::Forward(const Matrix& x) const {
+  return std::move(LayerOutputs(x).back());
+}
+
+Matrix Mlp::Forward(const CsrMatrix& x) const {
   return std::move(LayerOutputs(x).back());
 }
 
@@ -112,35 +143,39 @@ Matrix Mlp::HiddenRepresentation(const Matrix& x, int layer) const {
   return std::move(LayerOutputs(x)[static_cast<std::size_t>(layer - 1)]);
 }
 
+Matrix Mlp::HiddenRepresentation(const CsrMatrix& x, int layer) const {
+  GCON_CHECK_GE(layer, 1);
+  GCON_CHECK_LT(layer, num_layers());
+  return std::move(LayerOutputs(x)[static_cast<std::size_t>(layer - 1)]);
+}
+
 std::vector<int> Mlp::Predict(const Matrix& x) const {
-  const Matrix logits = Forward(x);
-  std::vector<int> out(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    out[i] = static_cast<int>(RowArgMax(logits, i));
-  }
-  return out;
+  return ArgMaxRows(Forward(x));
+}
+
+std::vector<int> Mlp::Predict(const CsrMatrix& x) const {
+  return ArgMaxRows(Forward(x));
 }
 
 double Mlp::LossAndGrads(const Matrix& x, const std::vector<int>& labels,
                          const std::vector<int>& idx, std::vector<Matrix>* dw,
                          std::vector<Matrix>* db) const {
-  return LossAndGrads(x, OrNull(SparseForm(x)), labels, idx, dw, db);
+  const std::optional<CsrMatrix> csr = SparseForm(x);
+  return LossAndGrads(Input{&x, OrNull(csr)}, labels, idx, dw, db);
 }
 
-double Mlp::LossAndGrads(const Matrix& x, const CsrMatrix* x_csr,
-                         const std::vector<int>& labels,
+double Mlp::LossAndGrads(Input x, const std::vector<int>& labels,
                          const std::vector<int>& idx, std::vector<Matrix>* dw,
                          std::vector<Matrix>* db) const {
   std::vector<Matrix> outputs;
-  ForwardKeep(x, x_csr, &outputs);
+  ForwardKeep(x, &outputs);
   Matrix dz;
   const double loss = SoftmaxCrossEntropy(outputs.back(), labels, idx, &dz);
   const std::size_t layer_count = weights_.size();
   dw->assign(layer_count, Matrix());
   db->assign(layer_count, Matrix());
   for (std::size_t l = layer_count; l-- > 0;) {
-    (*dw)[l] = l > 0 ? MatMulTransA(outputs[l - 1], dz)
-                     : InputTransTimes(x, x_csr, dz);
+    (*dw)[l] = l > 0 ? MatMulTransA(outputs[l - 1], dz) : x.TransTimes(dz);
     Matrix bias_grad(1, dz.cols());
     for (std::size_t j = 0; j < dz.cols(); ++j) {
       bias_grad(0, j) = ColSum(dz, j);
@@ -160,29 +195,32 @@ double Mlp::Train(const Matrix& x, const std::vector<int>& labels,
                   const std::vector<int>& train_idx,
                   const std::vector<int>& val_idx) {
   GCON_CHECK(!train_idx.empty());
-  // Work on the gathered training block so each epoch touches n1 rows, not n.
+  // Work on the gathered blocks so each epoch touches n1 rows, not n.
   const Matrix x_train = GatherRows(x, train_idx);
-  std::vector<int> labels_train(train_idx.size());
-  std::vector<int> local_idx(train_idx.size());
-  for (std::size_t i = 0; i < train_idx.size(); ++i) {
-    labels_train[i] = labels[static_cast<std::size_t>(train_idx[i])];
-    local_idx[i] = static_cast<int>(i);
-  }
+  const Matrix x_val = GatherRows(x, val_idx);
   const std::optional<CsrMatrix> train_csr = SparseForm(x_train);
-  Matrix x_val;
-  std::optional<CsrMatrix> val_csr;
-  std::vector<int> labels_val;
-  std::vector<int> local_val_idx;
-  if (!val_idx.empty()) {
-    x_val = GatherRows(x, val_idx);
-    val_csr = SparseForm(x_val);
-    labels_val.resize(val_idx.size());
-    local_val_idx.resize(val_idx.size());
-    for (std::size_t i = 0; i < val_idx.size(); ++i) {
-      labels_val[i] = labels[static_cast<std::size_t>(val_idx[i])];
-      local_val_idx[i] = static_cast<int>(i);
-    }
-  }
+  const std::optional<CsrMatrix> val_csr = SparseForm(x_val);
+  return TrainGathered(Input{&x_train, OrNull(train_csr)},
+                       GatherLabels(labels, train_idx),
+                       Input{&x_val, OrNull(val_csr)},
+                       GatherLabels(labels, val_idx));
+}
+
+double Mlp::Train(const CsrMatrix& x, const std::vector<int>& labels,
+                  const std::vector<int>& train_idx,
+                  const std::vector<int>& val_idx) {
+  GCON_CHECK(!train_idx.empty());
+  const CsrMatrix x_train = GatherRows(x, train_idx);
+  const CsrMatrix x_val = GatherRows(x, val_idx);
+  return TrainGathered(Input{nullptr, &x_train},
+                       GatherLabels(labels, train_idx), Input{nullptr, &x_val},
+                       GatherLabels(labels, val_idx));
+}
+
+double Mlp::TrainGathered(Input x_train, const std::vector<int>& labels_train,
+                          Input x_val, const std::vector<int>& labels_val) {
+  const std::vector<int> local_idx = LocalIndex(labels_train.size());
+  const std::vector<int> local_val_idx = LocalIndex(labels_val.size());
 
   Adam::Options adam_options;
   adam_options.learning_rate = options_.learning_rate;
@@ -200,16 +238,15 @@ double Mlp::Train(const Matrix& x, const std::vector<int>& labels,
   double last_loss = 0.0;
   std::vector<Matrix> dw, db, val_outputs;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    last_loss = LossAndGrads(x_train, OrNull(train_csr), labels_train,
-                             local_idx, &dw, &db);
+    last_loss = LossAndGrads(x_train, labels_train, local_idx, &dw, &db);
     adam.BeginStep();
     for (std::size_t l = 0; l < weights_.size(); ++l) {
       adam.Step(w_slot[l], dw[l], &weights_[l]);
       adam.Step(b_slot[l], db[l], &biases_[l]);
     }
-    if (!val_idx.empty() &&
+    if (!labels_val.empty() &&
         (epoch % options_.eval_every == 0 || epoch + 1 == options_.epochs)) {
-      ForwardKeep(x_val, OrNull(val_csr), &val_outputs);
+      ForwardKeep(x_val, &val_outputs);
       const double acc =
           Accuracy(val_outputs.back(), labels_val, local_val_idx);
       if (acc > best_val) {
@@ -219,7 +256,7 @@ double Mlp::Train(const Matrix& x, const std::vector<int>& labels,
       }
     }
   }
-  if (!val_idx.empty() && best_val >= 0.0) {
+  if (!labels_val.empty() && best_val >= 0.0) {
     weights_ = std::move(best_w);
     biases_ = std::move(best_b);
   }

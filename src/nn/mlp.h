@@ -11,9 +11,12 @@
 // validation-based model selection (best weights restored).
 //
 // Layer 0 multiplies the raw input, which for bag-of-words features is
-// mostly zeros. An input sparse enough runs that product (forward X·W0 and
-// gradient Xᵀ·dZ) as a CSR product; its bits equal the dense GEMM's
-// (sparse/csr_matrix.h), so the choice changes the cost and never a result.
+// mostly zeros. Every entry point that takes the input takes it dense or in
+// CSR form. A CSR input (the graph's features) runs layer 0's products
+// (forward X·W0 and gradient Xᵀ·dZ) as CSR products; a dense input (an
+// inductive query batch, a baseline's second stage) does so when it is
+// sparse enough. The CSR products' bits equal the dense GEMM's
+// (sparse/csr_matrix.h), so the form changes the cost and never a result.
 #ifndef GCON_NN_MLP_H_
 #define GCON_NN_MLP_H_
 
@@ -45,24 +48,31 @@ class Mlp {
 
   /// Forward pass to logits (no softmax).
   Matrix Forward(const Matrix& x) const;
+  Matrix Forward(const CsrMatrix& x) const;
 
   /// Representation after the activation of hidden layer `layer`
   /// (1-based; `layer` in [1, num_layers-1]). layer = num_layers-1 is the
   /// penultimate representation used by the GCON encoder.
   Matrix HiddenRepresentation(const Matrix& x, int layer) const;
+  Matrix HiddenRepresentation(const CsrMatrix& x, int layer) const;
 
   /// Every layer's output for x in one pass: element l is layer l+1's
   /// post-activation output (HiddenRepresentation(x, l + 1)), and back() is
   /// the logits (Forward(x)).
   std::vector<Matrix> LayerOutputs(const Matrix& x) const;
+  std::vector<Matrix> LayerOutputs(const CsrMatrix& x) const;
 
   /// Argmax class predictions for each row of x.
   std::vector<int> Predict(const Matrix& x) const;
+  std::vector<int> Predict(const CsrMatrix& x) const;
 
   /// Trains on rows `train_idx` of x (full batch). If `val_idx` is
   /// non-empty, keeps the weights with the best validation accuracy.
   /// Returns the final training loss.
   double Train(const Matrix& x, const std::vector<int>& labels,
+               const std::vector<int>& train_idx,
+               const std::vector<int>& val_idx);
+  double Train(const CsrMatrix& x, const std::vector<int>& labels,
                const std::vector<int>& train_idx,
                const std::vector<int>& val_idx);
 
@@ -88,15 +98,25 @@ class Mlp {
   const MlpOptions& options() const { return options_; }
 
  private:
+  /// Layer 0's input: `csr` when set (the same matrix as `dense`, if that
+  /// is set too), else `dense`.
+  struct Input {
+    const Matrix* dense = nullptr;
+    const CsrMatrix* csr = nullptr;
+    Matrix Times(const Matrix& w) const;        ///< X·W
+    Matrix TransTimes(const Matrix& dz) const;  ///< Xᵀ·dZ
+  };
+
   /// Forward keeping every layer's output (outputs[l] = layer l's
-  /// post-activation output; the input is not copied). Layer 0 reads
-  /// `x_csr`, the same matrix as `x` in CSR form, when it is set.
-  void ForwardKeep(const Matrix& x, const CsrMatrix* x_csr,
-                   std::vector<Matrix>* outputs) const;
-  double LossAndGrads(const Matrix& x, const CsrMatrix* x_csr,
-                      const std::vector<int>& labels,
+  /// post-activation output; the input is not copied).
+  void ForwardKeep(Input x, std::vector<Matrix>* outputs) const;
+  double LossAndGrads(Input x, const std::vector<int>& labels,
                       const std::vector<int>& idx, std::vector<Matrix>* dw,
                       std::vector<Matrix>* db) const;
+  /// Train on gathered blocks: row i of `x_train` has label
+  /// labels_train[i], and likewise for the validation block.
+  double TrainGathered(Input x_train, const std::vector<int>& labels_train,
+                       Input x_val, const std::vector<int>& labels_val);
 
   MlpOptions options_;
   std::vector<Matrix> weights_;  // weights_[l]: dims[l] x dims[l+1]

@@ -1,6 +1,6 @@
 #include "nn/mlp_io.h"
 
-#include <iomanip>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -40,15 +40,10 @@ const char* ActivationName(Activation act) {
 }
 
 void WriteMatrix(const char* tag, int layer, const Matrix& m,
-                 std::ostream* out) {
-  *out << tag << " " << layer << " " << m.rows() << " " << m.cols() << "\n";
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    const double* row = m.RowPtr(i);
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      *out << row[j] << (j + 1 == m.cols() ? "" : " ");
-    }
-    *out << "\n";
-  }
+                 std::string* out) {
+  *out += std::string(tag) + " " + std::to_string(layer) + " " +
+          std::to_string(m.rows()) + " " + std::to_string(m.cols()) + "\n";
+  AppendMatrixRows(m, out);
 }
 
 void ReadMatrixInto(const char* tag, int expected_layer, std::istream* in,
@@ -86,18 +81,37 @@ void ReadMatrixInto(const char* tag, int expected_layer, std::istream* in,
 
 }  // namespace
 
+void AppendMatrixRows(const Matrix& m, std::string* out) {
+  // Longest "%.17g" double: sign, 17 digits, point, "e-308".
+  constexpr std::size_t kMaxChars = 25;
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const double* row = m.RowPtr(i);
+    const std::size_t at = out->size();
+    out->resize(at + m.cols() * (kMaxChars + 1) + 1);
+    char* next = out->data() + at;
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      if (j > 0) *next++ = ' ';
+      next = std::to_chars(next, next + kMaxChars, row[j],
+                           std::chars_format::general, 17)
+                 .ptr;
+    }
+    *next++ = '\n';
+    out->resize(static_cast<std::size_t>(next - out->data()));
+  }
+}
+
 void SaveMlp(const Mlp& mlp, std::ostream* out) {
   const MlpOptions& options = mlp.options();
-  *out << std::setprecision(17);
-  *out << "mlp " << options.dims.size();
+  std::string text = "mlp " + std::to_string(options.dims.size());
   for (int dim : options.dims) {
-    *out << " " << dim;
+    text += " " + std::to_string(dim);
   }
-  *out << " " << ActivationName(options.hidden_activation) << "\n";
+  text += std::string(" ") + ActivationName(options.hidden_activation) + "\n";
   for (int l = 0; l < mlp.num_layers(); ++l) {
-    WriteMatrix("W", l, mlp.weight(l), out);
-    WriteMatrix("b", l, mlp.bias(l), out);
+    WriteMatrix("W", l, mlp.weight(l), &text);
+    WriteMatrix("b", l, mlp.bias(l), &text);
   }
+  out->write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 Mlp LoadMlp(std::istream* in) {

@@ -51,6 +51,32 @@ class Adam {
   long t_ = 0;
 };
 
+namespace internal {
+
+/// The per-step constants of one Adam update.
+struct AdamCoefficients {
+  double beta1;
+  double beta2;
+  double bias1;  ///< 1 - beta1^t
+  double bias2;  ///< 1 - beta2^t
+  double learning_rate;
+  double epsilon;
+  double weight_decay;
+};
+
+/// One Adam update of `count` parameters p with gradients g and moments
+/// m, v (no two of them may overlap). AdamUpdateScalar is the reference
+/// loop; AdamUpdate runs the kernel chosen once at startup (AVX2 when the
+/// CPU has it, else the reference). The AVX2 kernel does the same IEEE
+/// multiplies, adds, divides and square roots in the same order, never
+/// fused, so both give the same bits. Exposed for tests and benchmarks.
+void AdamUpdateScalar(const AdamCoefficients& k, std::size_t count,
+                      const double* g, double* p, double* m, double* v);
+void AdamUpdate(const AdamCoefficients& k, std::size_t count, const double* g,
+                double* p, double* m, double* v);
+
+}  // namespace internal
+
 /// Plain (full-batch or stochastic) gradient descent with optional momentum.
 class Sgd {
  public:

@@ -49,6 +49,16 @@ double CsrMatrix::At(std::size_t i, std::size_t j) const {
   return values_[static_cast<std::size_t>(it - col_idx_.begin())];
 }
 
+std::vector<double> CsrMatrix::RowCopy(std::size_t i) const {
+  GCON_CHECK_LT(i, rows_);
+  std::vector<double> row(cols_, 0.0);
+  for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+    row[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])] =
+        values_[static_cast<std::size_t>(k)];
+  }
+  return row;
+}
+
 double CsrMatrix::RowSum(std::size_t i) const {
   double acc = 0.0;
   for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
@@ -176,6 +186,45 @@ Matrix MatMulTransA(const CsrMatrix& a, const Matrix& b) {
   Matrix c(a.cols(), b.cols());
   SparseGemm(1.0, a, /*trans_a=*/true, b, 0.0, &c);
   return c;
+}
+
+CsrMatrix GatherRows(const CsrMatrix& a, const std::vector<int>& index) {
+  std::vector<std::int64_t> row_ptr(index.size() + 1, 0);
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    GCON_CHECK_GE(index[i], 0);
+    GCON_CHECK_LT(static_cast<std::size_t>(index[i]), a.rows());
+    const auto row = static_cast<std::size_t>(index[i]);
+    row_ptr[i + 1] = row_ptr[i] + static_cast<std::int64_t>(a.RowNnz(row));
+  }
+  const auto nnz = static_cast<std::size_t>(row_ptr.back());
+  std::vector<std::int32_t> col_idx(nnz);
+  std::vector<double> values(nnz);
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const auto row = static_cast<std::size_t>(index[i]);
+    const std::int64_t begin = a.row_ptr()[row];
+    const std::int64_t end = a.row_ptr()[row + 1];
+    std::copy(a.col_idx().begin() + begin, a.col_idx().begin() + end,
+              col_idx.begin() + row_ptr[i]);
+    std::copy(a.values().begin() + begin, a.values().begin() + end,
+              values.begin() + row_ptr[i]);
+  }
+  return CsrMatrix(index.size(), a.cols(), std::move(row_ptr),
+                   std::move(col_idx), std::move(values));
+}
+
+CsrMatrix StackRows(const CsrMatrix& top, const CsrMatrix& bottom) {
+  GCON_CHECK_EQ(top.cols(), bottom.cols());
+  std::vector<std::int64_t> row_ptr = top.row_ptr();
+  for (std::size_t i = 1; i < bottom.row_ptr().size(); ++i) {
+    row_ptr.push_back(row_ptr[top.rows()] + bottom.row_ptr()[i]);
+  }
+  std::vector<std::int32_t> col_idx = top.col_idx();
+  col_idx.insert(col_idx.end(), bottom.col_idx().begin(),
+                 bottom.col_idx().end());
+  std::vector<double> values = top.values();
+  values.insert(values.end(), bottom.values().begin(), bottom.values().end());
+  return CsrMatrix(top.rows() + bottom.rows(), top.cols(), std::move(row_ptr),
+                   std::move(col_idx), std::move(values));
 }
 
 void CooBuilder::Reserve(std::size_t n) { entries_.reserve(n); }

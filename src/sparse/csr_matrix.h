@@ -1,7 +1,8 @@
 // Compressed sparse row matrix.
 //
-// Used for the message-passing matrix Ã = D⁻¹(A + I) and the perturbed
-// adjacency matrices of the DP baselines. Construction goes through
+// Used for the message-passing matrix Ã = D⁻¹(A + I), the perturbed
+// adjacency matrices of the DP baselines, and the graph's bag-of-words node
+// features (graph/graph.h). Construction goes through
 // CooBuilder which sorts, merges duplicates, and produces canonical CSR
 // (row-major, column indices strictly increasing within a row).
 #ifndef GCON_SPARSE_CSR_MATRIX_H_
@@ -44,6 +45,10 @@ class CsrMatrix {
 
   /// Value at (i, j); zero when not stored. O(log nnz(i)).
   double At(std::size_t i, std::size_t j) const;
+  double operator()(std::size_t i, std::size_t j) const { return At(i, j); }
+
+  /// Row i as a dense vector of cols() values.
+  std::vector<double> RowCopy(std::size_t i) const;
 
   /// Sum of stored values in row i.
   double RowSum(std::size_t i) const;
@@ -51,7 +56,8 @@ class CsrMatrix {
   /// Sum over column j (O(nnz) per call; test/diagnostic use).
   double ColSum(std::size_t j) const;
 
-  /// Dense copy (test/diagnostic use; beware n² memory).
+  /// Dense copy: rows() x cols() doubles, for the callers that truly need
+  /// dense data (and tests).
   Matrix ToDense() const;
 
   /// Y = this * X (SpMM). X: cols() x d, result rows() x d.
@@ -101,6 +107,13 @@ Matrix MatMulTransA(const CsrMatrix& a, const Matrix& b);
 /// already be m x n).
 void SparseGemm(double alpha, const CsrMatrix& a, bool trans_a,
                 const Matrix& b, double beta, Matrix* c);
+
+/// Rows `index` of `a`, in that order (repeats allowed): the CSR form of
+/// GatherRows(a.ToDense(), index).
+CsrMatrix GatherRows(const CsrMatrix& a, const std::vector<int>& index);
+
+/// `top`'s rows followed by `bottom`'s (equal column counts).
+CsrMatrix StackRows(const CsrMatrix& top, const CsrMatrix& bottom);
 
 /// Accumulates (i, j, value) triplets and builds canonical CSR. Duplicate
 /// coordinates are summed.

@@ -89,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(PaperDatasets, GeneratorCalibration,
 TEST(Generator, FeaturesAreSparseNonNegative) {
   Rng rng(7);
   const Graph graph = GenerateDataset(TinySpec(), &rng);
-  const Matrix& x = graph.features();
+  const Matrix x = graph.features().ToDense();
   std::size_t nonzero = 0;
   for (std::size_t k = 0; k < x.size(); ++k) {
     EXPECT_GE(x.data()[k], 0.0);
@@ -111,7 +111,7 @@ TEST(Generator, FeaturesAreClassInformative) {
   // meaningful (as in the real citation data).
   Rng rng(8);
   const Graph graph = GenerateDataset(TinySpec(), &rng);
-  const Matrix& x = graph.features();
+  const Matrix x = graph.features().ToDense();
   double intra = 0.0, inter = 0.0;
   int intra_n = 0, inter_n = 0;
   for (int u = 0; u < graph.num_nodes(); ++u) {
@@ -148,7 +148,7 @@ TEST(Generator, DeterministicGivenSeed) {
   const Graph b = GenerateDataset(TinySpec(), &rng_b);
   EXPECT_EQ(a.num_edges(), b.num_edges());
   EXPECT_EQ(a.EdgeList(), b.EdgeList());
-  EXPECT_TRUE(a.features().AllClose(b.features()));
+  EXPECT_TRUE(a.features().ToDense().AllClose(b.features().ToDense()));
 }
 
 TEST(Generator, MakeSplitRespectsPolicy) {

@@ -148,7 +148,8 @@ TEST(LapGraph, PreservesNodesAndAttributes) {
   perturbed.CheckConsistency();
   EXPECT_EQ(perturbed.num_nodes(), graph.num_nodes());
   EXPECT_EQ(perturbed.num_classes(), graph.num_classes());
-  EXPECT_TRUE(perturbed.features().AllClose(graph.features()));
+  EXPECT_TRUE(
+      perturbed.features().ToDense().AllClose(graph.features().ToDense()));
   for (int v = 0; v < graph.num_nodes(); ++v) {
     EXPECT_EQ(perturbed.label(v), graph.label(v));
   }

@@ -149,7 +149,8 @@ TEST(InfluenceAttack, RecoversEdgesFromPropagatedInference) {
   };
   Rng rng(12);
   const auto result =
-      InfluenceAttack(forward, graph.features(), graph, 150, 0.05, &rng);
+      InfluenceAttack(forward, graph.features().ToDense(), graph, 150, 0.05,
+                      &rng);
   EXPECT_GT(result.num_positive, 100);
   EXPECT_GT(result.auc, 0.95);
 }
@@ -162,7 +163,8 @@ TEST(InfluenceAttack, BlindAgainstEdgeFreeModel) {
   auto forward = [&](const Matrix& x) { return x; };
   Rng rng(14);
   const auto result =
-      InfluenceAttack(forward, graph.features(), graph, 150, 0.05, &rng);
+      InfluenceAttack(forward, graph.features().ToDense(), graph, 150, 0.05,
+                      &rng);
   EXPECT_NEAR(result.auc, 0.5, 0.05);
 }
 
@@ -179,11 +181,11 @@ TEST(InfluenceAttack, TwoHopForwardLeaksMoreThanZeroHop) {
   };
   auto zero_hop = [&](const Matrix& x) { return x; };
   Rng rng_a(16), rng_b(17);
+  const Matrix x = graph.features().ToDense();
   const double auc_two =
-      InfluenceAttack(two_hop, graph.features(), graph, 120, 0.05, &rng_a).auc;
+      InfluenceAttack(two_hop, x, graph, 120, 0.05, &rng_a).auc;
   const double auc_zero =
-      InfluenceAttack(zero_hop, graph.features(), graph, 120, 0.05, &rng_b)
-          .auc;
+      InfluenceAttack(zero_hop, x, graph, 120, 0.05, &rng_b).auc;
   EXPECT_GT(auc_two, auc_zero + 0.2);
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "graph/graph.h"
 #include "graph/io.h"
@@ -26,7 +31,7 @@ Graph TriangleGraph() {
   x(1, 0) = 1.0;
   x(2, 1) = 1.0;
   x(3, 1) = 1.0;
-  g.set_features(std::move(x));
+  g.set_features(CsrMatrix::FromDense(x));
   return g;
 }
 
@@ -119,8 +124,29 @@ TEST(Stats, ClassFraction) {
   EXPECT_DOUBLE_EQ(ClassFraction(g, 1), 0.5);
 }
 
+// Bitwise equality of two CSR matrices: shapes, structure and value bits.
+void ExpectSameCsr(const CsrMatrix& a, const CsrMatrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  EXPECT_EQ(a.row_ptr(), b.row_ptr());
+  EXPECT_EQ(a.col_idx(), b.col_idx());
+  ASSERT_EQ(a.values().size(), b.values().size());
+  EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(),
+                        a.values().size() * sizeof(double)),
+            0);
+}
+
 TEST(Io, SaveLoadRoundTrip) {
-  const Graph g = TriangleGraph();
+  Graph g = TriangleGraph();
+  // Values the stream's default 6 significant digits would round, -0, a
+  // subnormal and extremes: each must come back with the same bits.
+  Matrix x = g.features().ToDense();
+  x(0, 1) = 0.123456789;
+  x(1, 1) = -0.0;
+  x(2, 0) = 1.0 / 3.0;
+  x(3, 0) = 4.9406564584124654e-324;
+  x(3, 1) = -2.5e300;
+  g.set_features(CsrMatrix::FromDense(x));
   const std::string path = "/tmp/gcon_io_test_graph.txt";
   SaveGraph(g, path);
   const Graph loaded = LoadGraph(path);
@@ -131,10 +157,139 @@ TEST(Io, SaveLoadRoundTrip) {
   for (int v = 0; v < g.num_nodes(); ++v) {
     EXPECT_EQ(loaded.label(v), g.label(v));
   }
-  EXPECT_TRUE(loaded.features().AllClose(g.features()));
+  ExpectSameCsr(loaded.features(), g.features());
+  EXPECT_TRUE(std::signbit(loaded.features().At(1, 1)));
   EXPECT_TRUE(loaded.HasEdge(0, 1));
   EXPECT_TRUE(loaded.HasEdge(0, 2));
   EXPECT_FALSE(loaded.HasEdge(0, 3));
+}
+
+// The dense load the CSR loader replaces: every `F` entry written into a
+// zeroed n x d matrix in file order (stoi/stod per token), then FromDense.
+CsrMatrix DenseReferenceFeatures(const std::string& text) {
+  std::istringstream in(text);
+  std::string line, word;
+  std::getline(in, line);  // magic
+  std::getline(in, line);
+  std::istringstream header(line);
+  std::string k1, k2, k3;
+  int n = 0, c = 0, d = 0;
+  header >> k1 >> n >> k2 >> c >> k3 >> d;
+  Matrix x(static_cast<std::size_t>(n), static_cast<std::size_t>(d));
+  while (std::getline(in, line)) {
+    std::istringstream row(line);
+    if (!(row >> word) || word != "F") continue;
+    int v = 0;
+    row >> v;
+    std::string pair;
+    while (row >> pair) {
+      const auto colon = pair.find(':');
+      x.At(static_cast<std::size_t>(v),
+           static_cast<std::size_t>(std::stoi(pair.substr(0, colon)))) =
+          std::stod(pair.substr(colon + 1));
+    }
+  }
+  return CsrMatrix::FromDense(x);
+}
+
+Graph LoadText(const std::string& text) {
+  std::istringstream in(text);
+  return LoadGraph(in, "<test>");
+}
+
+// What LoadGraph throws for `text`, or "" when it loads.
+std::string LoadTextError(const std::string& text) {
+  try {
+    LoadText(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string GraphText(const std::string& records) {
+  return "gcon-graph v1\nnodes 3 classes 2 features 5 edges 1\n"
+         "L 0 0\nL 1 1\nL 2 1\nE 0 2\n" +
+         records;
+}
+
+TEST(Io, LoaderMatchesDenseLoadOnIrregularFeatures) {
+  const char* cases[] = {
+      // unsorted indices
+      "F 0 3:1 1:2 4:0.5\nF 1\nF 2 0:7\n",
+      // a repeated index keeps its last value, even a +0 or -0 one
+      "F 0 1:1 1:5 2:3 2:0 3:2 3:-0\n",
+      // j:0 stores nothing, j:-0 stores -0
+      "F 0 0:0 1:-0 2:-0.0 3:0.0\n",
+      // rows out of order, one row split over two lines
+      "F 2 4:1\nF 0 2:1\nF 2 1:1 4:9\n",
+      // blanks, tabs and CRs between tokens; values in every notation
+      // (stod refuses subnormals, so SaveLoadRoundTrip covers those)
+      "F 1  0:1e-3\t2:-4.5E+2 \r\nF 0 4:inf 3:-inf 1:2.5e-300\n\n",
+  };
+  for (const char* records : cases) {
+    SCOPED_TRACE(records);
+    const std::string text = GraphText(records);
+    const Graph graph = LoadText(text);
+    ExpectSameCsr(graph.features(), DenseReferenceFeatures(text));
+  }
+}
+
+TEST(Io, LoaderThrowsOnMalformedFeaturesAndNodes) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"F 0 5:1\n", "feature index 5 out of range"},
+      {"F 0 -1:1\n", "feature index -1 out of range"},
+      {"F 3 0:1\n", "node 3 out of range"},
+      {"L 7 0\n", "node 7 out of range"},
+      {"L 0 2\n", "label 2 out of range"},
+      {"E 0 9\n", "node 9 out of range"},
+      {"E 1 1\n", "self loop"},
+      {"E 2 0\n", "duplicate edge"},
+      {"F 0 1:1.5x\n", "bad feature '1:1.5x'"},
+      {"F 0 1:abc\n", "bad feature"},
+      {"F 0 1:\n", "bad feature"},
+      {"F 0 :1\n", "bad feature"},
+      {"F 0 1\n", "bad feature"},
+      {"F 0 1:+2\n", "bad feature"},
+      {"F 0 1:0x1p3\n", "bad feature"},
+      {"F 0 1:1e999\n", "bad feature"},
+      {"F x 1:1\n", "bad node 'x'"},
+      {"L 0\n", "bad label ''"},
+      {"L 0 1 extra\n", "trailing text"},
+      {"Q 0\n", "bad record type 'Q'"},
+  };
+  for (const auto& [records, message] : cases) {
+    SCOPED_TRACE(records);
+    const std::string error = LoadTextError(GraphText(records));
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+    EXPECT_NE(error.find("'<test>': line "), std::string::npos) << error;
+  }
+}
+
+TEST(Io, LoaderBoundsTheHeaderBeforeAllocating) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"nodes 99999999999 classes 2 features 5 edges 0",
+       "nodes 99999999999 out of range"},
+      {"nodes 3 classes 2 features 999999999 edges 0",
+       "features 999999999 out of range"},
+      {"nodes 3 classes 99999999 features 5 edges 0",
+       "classes 99999999 out of range"},
+      {"nodes 3 classes 2 features 5 edges 99999999999",
+       "edges 99999999999 out of range"},
+      {"nodes -1 classes 2 features 5 edges 0", "nodes -1 out of range"},
+      {"nodes 3 classes 0 features 5 edges 0", "at least one class"},
+      {"nodes 3 classes 2 features 5", "header wants 'edges'"},
+      {"nodes 3 classes 2 features 5 edges 0 more", "trailing text"},
+  };
+  for (const auto& [header, message] : cases) {
+    SCOPED_TRACE(header);
+    const std::string error =
+        LoadTextError(std::string("gcon-graph v1\n") + header + "\n");
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
+  EXPECT_NE(LoadTextError("").find("empty file"), std::string::npos);
+  EXPECT_NE(LoadTextError("gcon-graph v1\n").find("truncated"),
+            std::string::npos);
 }
 
 TEST(Splits, PlanetoidPerClassCounts) {

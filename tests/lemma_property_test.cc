@@ -142,7 +142,7 @@ struct Lemma2Case {
 class Lemma2Property : public ::testing::TestWithParam<Lemma2Case> {};
 
 Matrix UnitFeatures(const Graph& graph) {
-  Matrix x = graph.features();
+  Matrix x = graph.features().ToDense();
   RowL2NormalizeInPlace(&x);
   return x;
 }

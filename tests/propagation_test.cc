@@ -70,7 +70,7 @@ TEST(Appr, ZeroStepsReturnsInput) {
   Rng gen(2);
   const Graph graph = GenerateDataset(TinySpec(), &gen);
   const CsrMatrix t = BuildTransition(graph);
-  Matrix x = graph.features();
+  Matrix x = graph.features().ToDense();
   RowL2NormalizeInPlace(&x);
   const Matrix z0 = ApprPropagate(t, x, 0, 0.5);
   EXPECT_TRUE(z0.AllClose(x));
@@ -81,7 +81,7 @@ TEST(Appr, AlphaOneFreezesFeatures) {
   Rng gen(3);
   const Graph graph = GenerateDataset(TinySpec(), &gen);
   const CsrMatrix t = BuildTransition(graph);
-  Matrix x = graph.features();
+  Matrix x = graph.features().ToDense();
   RowL2NormalizeInPlace(&x);
   EXPECT_TRUE(ApprPropagate(t, x, 5, 1.0).AllClose(x, 1e-12));
   EXPECT_TRUE(PprPropagate(t, x, 1.0).AllClose(x, 1e-12));
@@ -111,7 +111,7 @@ TEST(Ppr, FixedPointSolvesLinearSystem) {
   Rng gen(4);
   const Graph graph = GenerateDataset(TinySpec(), &gen);
   const CsrMatrix t = BuildTransition(graph);
-  Matrix x = graph.features();
+  Matrix x = graph.features().ToDense();
   RowL2NormalizeInPlace(&x);
   const double alpha = 0.4;
   const Matrix z = PprPropagate(t, x, alpha, 1e-12);
@@ -127,7 +127,7 @@ TEST(Ppr, ApprConvergesToPpr) {
   Rng gen(5);
   const Graph graph = GenerateDataset(TinySpec(), &gen);
   const CsrMatrix t = BuildTransition(graph);
-  Matrix x = graph.features();
+  Matrix x = graph.features().ToDense();
   RowL2NormalizeInPlace(&x);
   const double alpha = 0.5;
   const Matrix z_inf = PprPropagate(t, x, alpha, 1e-12);
@@ -145,7 +145,7 @@ TEST(Appr, PropagateDispatch) {
   Rng gen(6);
   const Graph graph = GenerateDataset(TinySpec(), &gen);
   const CsrMatrix t = BuildTransition(graph);
-  Matrix x = graph.features();
+  Matrix x = graph.features().ToDense();
   RowL2NormalizeInPlace(&x);
   EXPECT_TRUE(Propagate(t, x, 3, 0.5).AllClose(ApprPropagate(t, x, 3, 0.5)));
   EXPECT_TRUE(Propagate(t, x, kInfiniteSteps, 0.5)
@@ -156,7 +156,7 @@ TEST(Appr, ConcatPropagateShapeAndScaling) {
   Rng gen(7);
   const Graph graph = GenerateDataset(TinySpec(), &gen);
   const CsrMatrix t = BuildTransition(graph);
-  Matrix x = graph.features();
+  Matrix x = graph.features().ToDense();
   RowL2NormalizeInPlace(&x);
   const std::vector<int> steps = {0, 2, kInfiniteSteps};
   const Matrix z = ConcatPropagate(t, x, steps, 0.5);

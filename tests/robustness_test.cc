@@ -1,9 +1,12 @@
 // API-contract robustness: invalid inputs must fail loudly (GCON_CHECK
-// aborts), not silently corrupt numeric state. Uses gtest death tests.
+// aborts, or an exception where the input is a file), not silently corrupt
+// numeric state. Uses gtest death tests.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/incomplete_gamma.h"
 #include "core/theorem1.h"
@@ -21,6 +24,16 @@ namespace gcon {
 namespace {
 
 using RobustnessDeathTest = ::testing::Test;
+
+// What LoadGraph(path) throws, or "" when it loads.
+std::string LoadGraphError(const std::string& path) {
+  try {
+    LoadGraph(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(RobustnessDeathTest, MatrixAtOutOfBounds) {
   Matrix m(2, 3);
@@ -66,12 +79,15 @@ TEST(RobustnessDeathTest, LoadGraphBadMagic) {
     std::ofstream out(path);
     out << "something else entirely\n";
   }
-  EXPECT_DEATH(LoadGraph(path), "bad magic");
+  EXPECT_THROW(LoadGraph(path), std::runtime_error);
+  EXPECT_NE(LoadGraphError(path).find("bad magic"), std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(RobustnessDeathTest, LoadGraphMissingFile) {
-  EXPECT_DEATH(LoadGraph("/tmp/gcon_no_such_file_xyz.graph"), "cannot open");
+  const std::string path = "/tmp/gcon_no_such_file_xyz.graph";
+  EXPECT_THROW(LoadGraph(path), std::runtime_error);
+  EXPECT_NE(LoadGraphError(path).find("cannot open"), std::string::npos);
 }
 
 TEST(RobustnessDeathTest, EdgeRandRefusesExplosiveOutput) {
@@ -134,7 +150,7 @@ TEST(RobustnessDeathTest, RngRejectsDegenerateParameters) {
   EXPECT_DEATH(rng.SampleWithoutReplacement(3, 5), "CHECK FAILED");
 }
 
-// Non-death robustness: partially written graph files are detected.
+// Partially written graph files are detected.
 TEST(Robustness, LoadGraphDetectsEdgeCountMismatch) {
   const std::string path = "/tmp/gcon_robustness_truncated.txt";
   {
@@ -145,7 +161,9 @@ TEST(Robustness, LoadGraphDetectsEdgeCountMismatch) {
     out << "F 0 0:1\nF 1 0:1\n";
     out << "E 0 1\n";  // provides only 1
   }
-  EXPECT_DEATH(LoadGraph(path), "edge count mismatch");
+  EXPECT_THROW(LoadGraph(path), std::runtime_error);
+  EXPECT_NE(LoadGraphError(path).find("edge count mismatch"),
+            std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "core/gcon.h"
@@ -38,6 +41,50 @@ TEST(MlpIo, RoundTripPreservesWeightsAndPredictions) {
     x.data()[k] = rng.Uniform(-1.0, 1.0);
   }
   EXPECT_TRUE(loaded.Forward(x).AllClose(original.Forward(x), 1e-12));
+}
+
+TEST(MlpIo, MatrixRowsMatchTheStreamForm) {
+  // The artifact writer's bytes must equal `ostream << setprecision(17)`,
+  // the form artifacts were written in before, over every class of double.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0,
+                           -0.0,
+                           4.9406564584124654e-324,
+                           -2.2250738585072009e-308,
+                           2.2250738585072014e-308,
+                           1e300,
+                           -1e300,
+                           1e-300,
+                           -1e-300,
+                           1.0,
+                           -7.0,
+                           123456789.0,
+                           1e16,
+                           1e17,
+                           0.1,
+                           1.0 / 3.0,
+                           -12345678901234567.0,
+                           0.12345678901234568,
+                           inf,
+                           -inf,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN()};
+  const std::size_t count = sizeof(values) / sizeof(values[0]);
+  for (std::size_t cols : {std::size_t{1}, std::size_t{3}, count}) {
+    Matrix m(count, cols);
+    for (std::size_t k = 0; k < m.size(); ++k) m.data()[k] = values[k % count];
+    std::ostringstream stream;
+    stream << std::setprecision(17);
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      for (std::size_t j = 0; j < m.cols(); ++j) {
+        stream << m(i, j) << (j + 1 == m.cols() ? "" : " ");
+      }
+      stream << "\n";
+    }
+    std::string text = "prefix ";
+    AppendMatrixRows(m, &text);
+    EXPECT_EQ(text, "prefix " + stream.str());
+  }
 }
 
 TEST(MlpIo, PreservesActivation) {

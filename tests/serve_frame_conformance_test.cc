@@ -241,12 +241,10 @@ class ServeFrameConformanceTest : public ::testing::Test {
   /// through float, then widened — both transports and the offline side
   /// operate on these exact doubles.
   std::vector<double> WidenedFeatures(int src) const {
-    std::vector<double> out(
-        static_cast<std::size_t>(graph_.feature_dim()));
-    const double* row =
-        graph_.features().RowPtr(static_cast<std::size_t>(src));
-    for (std::size_t j = 0; j < out.size(); ++j) {
-      out[j] = static_cast<double>(static_cast<float>(row[j] * 1.375));
+    std::vector<double> out =
+        graph_.features().RowCopy(static_cast<std::size_t>(src));
+    for (double& value : out) {
+      value = static_cast<double>(static_cast<float>(value * 1.375));
     }
     return out;
   }

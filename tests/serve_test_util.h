@@ -59,17 +59,11 @@ inline Graph AugmentGraph(const Graph& graph,
                           const std::vector<int>& edges) {
   const int n = graph.num_nodes();
   Graph augmented(n + 1, graph.num_classes());
-  Matrix x(static_cast<std::size_t>(n) + 1,
-           static_cast<std::size_t>(graph.feature_dim()));
-  for (int v = 0; v < n; ++v) {
-    const double* src = graph.features().RowPtr(static_cast<std::size_t>(v));
-    std::copy(src, src + graph.feature_dim(),
-              x.RowPtr(static_cast<std::size_t>(v)));
-    augmented.set_label(v, graph.label(v));
-  }
-  std::copy(features.begin(), features.end(),
-            x.RowPtr(static_cast<std::size_t>(n)));
-  augmented.set_features(std::move(x));
+  for (int v = 0; v < n; ++v) augmented.set_label(v, graph.label(v));
+  Matrix row(1, static_cast<std::size_t>(graph.feature_dim()));
+  std::copy(features.begin(), features.end(), row.data());
+  augmented.set_features(
+      StackRows(graph.features(), CsrMatrix::FromDense(row)));
   for (const auto& [u, v] : graph.EdgeList()) augmented.AddEdge(u, v);
   for (int u : edges) {
     if (u >= 0 && u < n) augmented.AddEdge(n, u);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "linalg/ops.h"
 #include "rng/rng.h"
@@ -78,6 +79,35 @@ TEST(CsrMatrix, ToDenseRoundTrip) {
   Rng rng(31);
   const auto [sparse, dense] = RandomSparse(8, 6, 0.3, &rng);
   EXPECT_TRUE(sparse.ToDense().AllClose(dense));
+}
+
+TEST(CsrMatrix, RowAccessGatherAndStackMatchTheDenseForm) {
+  const Matrix dense = {{0.0, 1.5, -0.0}, {0.0, 0.0, 0.0}, {2.0, 0.0, -3.0}};
+  const CsrMatrix a = CsrMatrix::FromDense(dense);
+  for (std::size_t i = 0; i < dense.rows(); ++i) {
+    const std::vector<double> row = a.RowCopy(i);
+    ASSERT_EQ(row.size(), dense.cols());
+    EXPECT_EQ(std::memcmp(row.data(), dense.RowPtr(i),
+                          row.size() * sizeof(double)),
+              0);
+    for (std::size_t j = 0; j < dense.cols(); ++j) {
+      EXPECT_EQ(a(i, j), dense(i, j));
+    }
+  }
+  const std::vector<int> index = {2, 0, 2, 1};
+  const Matrix gathered = GatherRows(a, index).ToDense();
+  const Matrix expected = GatherRows(dense, index);
+  EXPECT_EQ(std::memcmp(gathered.data(), expected.data(),
+                        expected.size() * sizeof(double)),
+            0);
+  const CsrMatrix stacked = StackRows(a, GatherRows(a, {2}));
+  EXPECT_EQ(stacked.rows(), 4u);
+  EXPECT_EQ(stacked.nnz(), a.nnz() + a.RowNnz(2));
+  const Matrix stacked_dense = stacked.ToDense();
+  EXPECT_EQ(std::memcmp(stacked_dense.RowPtr(3), dense.RowPtr(2),
+                        dense.cols() * sizeof(double)),
+            0);
+  EXPECT_EQ(GatherRows(a, {}).rows(), 0u);
 }
 
 TEST(CsrMatrix, FromDenseRoundTripsBitwise) {

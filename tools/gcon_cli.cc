@@ -275,13 +275,14 @@ int CmdPredict(const gcon::Flags& flags) {
     std::cerr << "predict requires --graph and --model\n";
     return 2;
   }
-  const gcon::Graph graph = gcon::LoadGraph(graph_path);
+  gcon::Graph graph;
   gcon::Matrix logits;
   try {
+    graph = gcon::LoadGraph(graph_path);
     const gcon::GconArtifact artifact = gcon::LoadModel(model_path);
     logits = artifact.Infer(graph);
   } catch (const std::exception& e) {
-    // A missing/corrupt artifact is a usage error, not a crash.
+    // A missing/corrupt graph or artifact is a usage error, not a crash.
     std::cerr << "predict: " << e.what() << "\n";
     return 2;
   }
@@ -517,7 +518,13 @@ int CmdStats(const gcon::Flags& flags) {
     std::cerr << "stats requires --graph\n";
     return 2;
   }
-  const gcon::Graph graph = gcon::LoadGraph(graph_path);
+  gcon::Graph graph;
+  try {
+    graph = gcon::LoadGraph(graph_path);
+  } catch (const std::exception& e) {
+    std::cerr << "stats: " << e.what() << "\n";
+    return 2;
+  }
   std::cout << "nodes " << graph.num_nodes() << "\n"
             << "edges_directed " << 2 * graph.num_edges() << "\n"
             << "features " << graph.feature_dim() << "\n"
