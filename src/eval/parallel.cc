@@ -7,7 +7,7 @@ namespace {
 
 // True while the current thread is executing inside a WorkerPool job
 // (as the caller or as a pool worker). A nested Run on such a thread must
-// not wait on job_mu_ — the outer job holds it — so it runs inline.
+// not take job_mu_ — the outer job holds it — so it runs inline.
 thread_local bool t_inside_pool_job = false;
 
 }  // namespace
@@ -84,14 +84,15 @@ void WorkerPool::WorkerMain() {
 void WorkerPool::Run(int n, int threads, const std::function<void(int)>& fn) {
   if (n <= 0) return;
   if (threads > n) threads = n;
-  if (threads <= 1 || t_inside_pool_job) {
-    // Sequential degeneration, and the nested case: the outer job owns
-    // job_mu_, so run the indices on this thread in order.
+  // Sequential degeneration, the nested case (the outer job owns job_mu_)
+  // and the busy case (another thread's job owns it): run the indices on
+  // this thread in order rather than wait for the workers.
+  std::unique_lock<std::mutex> job_lock(job_mu_, std::defer_lock);
+  if (threads <= 1 || t_inside_pool_job || !job_lock.try_lock()) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  std::lock_guard<std::mutex> job_lock(job_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     EnsureWorkersLocked(threads - 1);
@@ -124,14 +125,7 @@ void WorkerPool::Run(int n, int threads, const std::function<void(int)>& fn) {
 }
 
 void ParallelFor(int n, int threads, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  threads = ResolveThreads(threads);
-  if (threads > n) threads = n;
-  if (threads <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  WorkerPool::Global().Run(n, threads, fn);
+  WorkerPool::Global().Run(n, ResolveThreads(threads), fn);
 }
 
 }  // namespace gcon

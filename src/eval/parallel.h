@@ -14,10 +14,10 @@
 // The pool threads are persistent: they are spawned on first use (growing
 // on demand up to the largest concurrency ever requested) and parked on a
 // condition variable between jobs, so a sweep driver's back-to-back
-// ParallelFor calls pay a wakeup instead of a thread spawn. This retires
-// the old per-call std::thread-spawning implementation. (The serving
-// tier's batch workers in src/serve/batcher.h are separately resident —
-// they park on the request queue, a different wait discipline.)
+// ParallelFor calls pay a wakeup instead of a thread spawn. The linalg and
+// sparse kernels fan out on the same pool (internal::KernelFor). (The
+// serving tier's batch workers in src/serve/batcher.h are separately
+// resident — they park on the request queue, a different wait discipline.)
 //
 // Exceptions: the first exception thrown by any fn(i) is captured, the
 // remaining indices are abandoned, the job is drained, and the exception
@@ -41,11 +41,12 @@ namespace gcon {
 int ResolveThreads(int requested);
 
 /// A pool of resident worker threads executing fork-join index jobs.
-/// One job runs at a time (concurrent Run calls from distinct threads
-/// serialize); a Run issued from *inside* a running job executes inline on
-/// the calling thread instead of deadlocking on the job lock, so nested
-/// ParallelFor is safe (and sequential, which matches how the sweep
-/// drivers configure their inner loops).
+/// One job runs at a time. A Run that finds the pool busy — issued from
+/// *inside* a running job, or from another thread while a job is out —
+/// executes inline on the calling thread instead of waiting for the job
+/// lock. So nested ParallelFor is safe (and sequential, which matches how
+/// the sweep drivers configure their inner loops), and two serving threads
+/// never queue behind each other's kernel call.
 class WorkerPool {
  public:
   /// The process-wide pool every ParallelFor shares.
@@ -71,7 +72,8 @@ class WorkerPool {
   /// Pulls indices from next_ and runs fn until exhausted or failed.
   void Drain(int n, const std::function<void(int)>& fn);
 
-  /// Serializes Run callers (one job at a time).
+  /// Held by the one Run whose job is out; a Run that cannot take it at
+  /// once runs inline.
   std::mutex job_mu_;
 
   /// Guards the job fields and worker bookkeeping below.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "eval/parallel.h"
 #include "obs/metrics.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -23,6 +24,8 @@ namespace {
 
 constexpr std::size_t MR = kGemmMR;
 constexpr std::size_t NR = kGemmNR;
+// Doubles in a packed MC x KC A block (MR-tall strips, zero-padded).
+constexpr std::size_t kApackSize = ((kGemmMC + MR - 1) / MR) * kGemmKC * MR;
 
 // --- packing ---------------------------------------------------------------
 //
@@ -435,6 +438,12 @@ void GemmCsrTransA(double alpha, const CsrOperand& a, const Matrix& b,
 
 bool GemmUsesAvx2() { return kMicroKernel != MicroKernelPortable; }
 
+void KernelFor(std::size_t blocks, std::uint64_t work,
+               const std::function<void(int)>& fn) {
+  // threads = 1 runs inline in order; 0 means one per hardware thread.
+  ParallelFor(static_cast<int>(blocks), work < kKernelInlineWork ? 1 : 0, fn);
+}
+
 void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
                  bool trans_b, double beta, Matrix* c) {
   const std::size_t m = trans_a ? a.cols() : a.rows();
@@ -465,29 +474,25 @@ void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
       const bool first = (pc == 0);
       PackB(b, trans_b, pc, jc, kc, nc, bpack.data());
 
-      const std::int64_t ic_blocks =
-          static_cast<std::int64_t>((m + kGemmMC - 1) / kGemmMC);
-#pragma omp parallel
-      {
-        std::vector<double> apack(((kGemmMC + MR - 1) / MR) * kc * MR);
+      // The row blocks share bpack read-only; A packs into per-thread scratch.
+      const std::size_t ic_blocks = (m + kGemmMC - 1) / kGemmMC;
+      KernelFor(ic_blocks, m * nc * kc, [&](int ib) {
+        thread_local std::vector<double> apack(kApackSize);
         alignas(64) double acc[MR * NR];
-#pragma omp for schedule(dynamic)
-        for (std::int64_t ib = 0; ib < ic_blocks; ++ib) {
-          const std::size_t ic = static_cast<std::size_t>(ib) * kGemmMC;
-          const std::size_t mc = std::min(kGemmMC, m - ic);
-          const std::size_t i_strips = (mc + MR - 1) / MR;
-          PackA(a, trans_a, ic, pc, mc, kc, apack.data());
-          for (std::size_t js = 0; js < j_strips; ++js) {
-            const double* bs = bpack.data() + js * kc * NR;
-            const std::size_t cols = std::min(NR, nc - js * NR);
-            for (std::size_t is = 0; is < i_strips; ++is) {
-              kMicroKernel(kc, apack.data() + is * kc * MR, bs, acc);
-              WriteTile(acc, std::min(MR, mc - is * MR), cols, alpha, beta,
-                        first, c, ic + is * MR, jc + js * NR);
-            }
+        const std::size_t ic = static_cast<std::size_t>(ib) * kGemmMC;
+        const std::size_t mc = std::min(kGemmMC, m - ic);
+        const std::size_t i_strips = (mc + MR - 1) / MR;
+        PackA(a, trans_a, ic, pc, mc, kc, apack.data());
+        for (std::size_t js = 0; js < j_strips; ++js) {
+          const double* bs = bpack.data() + js * kc * NR;
+          const std::size_t cols = std::min(NR, nc - js * NR);
+          for (std::size_t is = 0; is < i_strips; ++is) {
+            kMicroKernel(kc, apack.data() + is * kc * MR, bs, acc);
+            WriteTile(acc, std::min(MR, mc - is * MR), cols, alpha, beta,
+                      first, c, ic + is * MR, jc + js * NR);
           }
         }
-      }
+      });
     }
   }
 }

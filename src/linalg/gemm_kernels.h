@@ -15,7 +15,7 @@
 // on any x86-64 (and non-x86 builds fall back to the portable kernel).
 //
 // Numerical contract: for a fixed build the k-accumulation order is fixed
-// (the pc loop is sequential; OpenMP only distributes disjoint C tiles), so
+// (the pc loop is sequential; KernelFor only distributes disjoint C tiles), so
 // repeated calls on identical inputs are bitwise identical regardless of
 // thread count. Unlike the pre-blocking kernels there is NO zero-operand
 // short-circuit: a zero in A multiplied by a NaN/Inf in B contributes
@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "linalg/matrix.h"
 
@@ -53,6 +54,33 @@ inline constexpr std::size_t kGemmNR = 8;
 inline constexpr std::size_t kGemmMC = 128;
 inline constexpr std::size_t kGemmKC = 256;
 inline constexpr std::size_t kGemmNC = 4096;
+
+/// Multiply-adds below which a kernel runs inline. Measured on 4 vCPUs: a
+/// pool wake and join costs 15-35 us, a few percent of the ~370 us SpMM or
+/// MatVec take inline at this size; the AVX2 GEMM's fan-out already runs
+/// 1.0-1.6x faster here.
+inline constexpr std::uint64_t kKernelInlineWork = 1u << 19;
+
+/// The kernels' parallel loop: fn(block) for every block in [0, blocks),
+/// which together cost `work` multiply-adds (element moves, for
+/// Transpose). Below kKernelInlineWork it runs inline in block order, else
+/// through ParallelFor at one thread per hardware thread. Blocks write
+/// disjoint output and never depend on the thread count, so neither do the
+/// bits.
+void KernelFor(std::size_t blocks, std::uint64_t work,
+               const std::function<void(int)>& fn);
+
+/// KernelFor over rows: row_fn(i) for every i in [0, rows), one job per
+/// fixed block of `block_rows` rows.
+template <typename RowFn>
+void KernelForRows(std::size_t rows, std::size_t block_rows,
+                   std::uint64_t work, const RowFn& row_fn) {
+  KernelFor((rows + block_rows - 1) / block_rows, work, [&](int block) {
+    const std::size_t i0 = static_cast<std::size_t>(block) * block_rows;
+    const std::size_t i1 = i0 + block_rows < rows ? i0 + block_rows : rows;
+    for (std::size_t i = i0; i < i1; ++i) row_fn(i);
+  });
+}
 
 /// C = alpha * op(A) * op(B) + beta * C where op transposes when the flag
 /// is set. Shapes after op: (m x k) * (k x n) -> C (m x n); `c` must

@@ -3,9 +3,10 @@
 // The matrix products (MatMul / MatMulTransA / MatMulTransB / Gemm) route
 // through the cache-blocked, register-tiled engine in linalg/gemm_kernels.h:
 // packed panels, a 4x8 micro-kernel (AVX2+FMA when the CPU has it, selected
-// once at startup), and OpenMP over row blocks. Tuning knobs and the kept
-// naive reference kernel live in that header. The matrix-vector products and
-// Transpose are OpenMP-parallel, cache-blocked loops.
+// once at startup), and row blocks fanned out over the resident WorkerPool
+// (internal::KernelFor, inline below a fixed work cutoff). Tuning knobs and
+// the kept naive reference kernel live in that header. The matrix-vector
+// products and Transpose are cache-blocked loops on the same KernelFor.
 //
 // Numerical policy:
 //   * Repeated calls on identical inputs are bitwise identical for a fixed

@@ -11,11 +11,14 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <iostream>
 #include <locale>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -451,7 +454,6 @@ void ServeJsonConnection(InferenceServer* server, int fd) {
                   id, "oversized request line (limit " +
                           std::to_string(kMaxWireLineBytes) + " bytes)") +
               "\n");
-    ::close(fd);
   };
 
   for (;;) {
@@ -545,7 +547,6 @@ void ServeJsonConnection(InferenceServer* server, int fd) {
       }
       if (command == WireCommand::kQuit) {
         flush_pending();
-        ::close(fd);
         return;
       }
       request.trace = obs::TraceRecorder::Global().MaybeStart(
@@ -576,7 +577,6 @@ void ServeJsonConnection(InferenceServer* server, int fd) {
   // their client is gone, but the batcher contract (every future resolves)
   // and the per-model counters stay truthful.
   flush_pending();
-  ::close(fd);
 }
 
 /// Reads exactly `want` bytes. False on EOF, a dead socket, or an expired
@@ -637,24 +637,17 @@ void ServeBinaryConnection(InferenceServer* server, int fd) {
   // negotiated version (min of the two — a newer client speaks our dialect,
   // an older server never has to).
   char hello[kFrameHelloBytes];
-  if (!RecvAll(fd, hello, sizeof(hello))) {
-    ::close(fd);
-    return;
-  }
+  if (!RecvAll(fd, hello, sizeof(hello))) return;
   tm.bytes_in->Increment(sizeof(hello));
   std::uint16_t client_version = 0;
   std::string error;
   if (!ParseHello(hello, sizeof(hello), &client_version, &error)) {
     send_frame(EncodeErrorFrame(
         0, WireErrorCode(ServeErrorCode::kMalformedFrame), error));
-    ::close(fd);
     return;
   }
   const std::uint16_t version = std::min(client_version, kFrameVersion);
-  if (!send_frame(EncodeHello(version))) {
-    ::close(fd);
-    return;
-  }
+  if (!send_frame(EncodeHello(version))) return;
 
   struct InFlight {
     std::int64_t id;
@@ -718,7 +711,6 @@ void ServeBinaryConnection(InferenceServer* server, int fd) {
       // speaks a future dialect) — report and hang up, nothing to resync.
       flush_pending();
       send_frame(EncodeErrorFrame(0, malformed, error));
-      ::close(fd);
       return;
     }
     const std::shared_ptr<std::vector<char>> buffer = pool.Take(payload_len);
@@ -807,7 +799,6 @@ void ServeBinaryConnection(InferenceServer* server, int fd) {
           send_frame(EncodeAdminReplyFrame("{\"draining\": true}"));
           break;
         case AdminVerb::kQuit:
-          ::close(fd);
           return;
       }
       continue;
@@ -819,26 +810,23 @@ void ServeBinaryConnection(InferenceServer* server, int fd) {
         0, malformed,
         "unexpected frame type (clients send requests and "
         "admin frames only)"));
-    ::close(fd);
     return;
   }
   flush_pending();
-  ::close(fd);
 }
 
 /// Transport dispatch: peek the first byte without consuming it. A binary
 /// client's hello starts with kFramePreamble (0xC0), which no JSON line
-/// can; everything else flows to the newline-JSON loop untouched.
+/// can; everything else flows to the newline-JSON loop untouched. The
+/// connection loops never close `fd`: the handler thread's wrapper in
+/// RunTcpServer does, once they return.
 void ServeConnection(InferenceServer* server, int fd) {
   unsigned char first = 0;
   for (;;) {
     const ssize_t n =
         ::recv(fd, reinterpret_cast<char*>(&first), 1, MSG_PEEK);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {  // EOF, dead socket, or SO_RCVTIMEO before any byte
-      ::close(fd);
-      return;
-    }
+    if (n <= 0) return;  // EOF, dead socket, or SO_RCVTIMEO before any byte
     break;
   }
   if (first == kFramePreamble) {
@@ -899,10 +887,16 @@ int RunTcpServer(InferenceServer* server, int port,
   io_timeout.tv_sec = io_timeout_ms / 1000;
   io_timeout.tv_usec = (io_timeout_ms % 1000) * 1000;
 
-  // Connection threads are detached and counted: a long-running server
-  // must reclaim each thread's stack when its client disconnects, not
-  // accumulate joinable handles until shutdown.
-  auto active = std::make_shared<std::atomic<int>>(0);
+  // Connection threads are detached: a long-running server must reclaim
+  // each thread's stack when its client disconnects, not accumulate
+  // joinable handles until shutdown. A socket stays in `live` until its
+  // handler thread closes it, so shutdown never touches a recycled fd.
+  struct LiveConnections {
+    std::mutex mu;
+    std::condition_variable empty;
+    std::set<int> fds;
+  };
+  auto live = std::make_shared<LiveConnections>();
   int backoff_ms = 1;
   for (;;) {
     if (shutdown != nullptr && shutdown->load(std::memory_order_acquire)) {
@@ -938,18 +932,25 @@ int RunTcpServer(InferenceServer* server, int port,
                  sizeof(io_timeout));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &io_timeout,
                  sizeof(io_timeout));
-    active->fetch_add(1, std::memory_order_acq_rel);
-    std::thread([server, fd, active] {
+    {
+      std::lock_guard<std::mutex> lock(live->mu);
+      live->fds.insert(fd);
+    }
+    std::thread([server, fd, live] {
       ServeConnection(server, fd);
-      active->fetch_sub(1, std::memory_order_acq_rel);
+      std::lock_guard<std::mutex> lock(live->mu);
+      live->fds.erase(fd);
+      ::close(fd);
+      if (live->fds.empty()) live->empty.notify_all();
     }).detach();
   }
   ::close(listen_fd);
   // Clean shutdown: the detached handlers borrow `server`; wait for every
-  // open connection to finish before handing control back.
-  while (active->load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // one to finish. SHUT_RD turns a blocked recv into EOF but leaves writes
+  // working, so each handler answers what it accepted and returns at once.
+  std::unique_lock<std::mutex> lock(live->mu);
+  for (const int fd : live->fds) ::shutdown(fd, SHUT_RD);
+  live->empty.wait(lock, [&] { return live->fds.empty(); });
   return 0;
 }
 

@@ -198,9 +198,12 @@ class InferenceServer {
 /// survived, never fatal; every accepted socket gets
 /// ServeOptions.io_timeout_ms read/write timeouts so a stalled client is
 /// disconnected instead of pinning its thread; writes are SIGPIPE-safe.
-/// Returns 0 on clean shutdown (callers then Drain() the server to flush
-/// accepted queries); throws std::runtime_error on socket setup failure
-/// (port in use, ...).
+/// Shutdown does not wait on idle clients: every open connection's read
+/// side is shut down, so its handler answers the queries it already
+/// accepted and returns at once. Returns 0 on clean shutdown, after every
+/// handler has returned (callers then Drain() the server to flush accepted
+/// queries); throws std::runtime_error on socket setup failure (port in
+/// use, ...).
 int RunTcpServer(InferenceServer* server, int port,
                  const std::atomic<bool>* shutdown = nullptr,
                  std::atomic<int>* bound_port = nullptr);

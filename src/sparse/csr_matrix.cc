@@ -90,9 +90,9 @@ Matrix CsrMatrix::Multiply(const Matrix& x) const {
   GCON_CHECK_EQ(cols_, x.rows()) << "spmm: dim mismatch";
   const std::size_t d = x.cols();
   Matrix y(rows_, d);
-#pragma omp parallel for schedule(dynamic, 256)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(rows_); ++i) {
-    double* yrow = y.RowPtr(static_cast<std::size_t>(i));
+  // 256 rows per job; each output row is summed by one thread, in order.
+  internal::KernelForRows(rows_, 256, nnz() * d, [&](std::size_t i) {
+    double* yrow = y.RowPtr(i);
     for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       const double v = values_[static_cast<std::size_t>(k)];
       const double* xrow =
@@ -101,7 +101,7 @@ Matrix CsrMatrix::Multiply(const Matrix& x) const {
         yrow[j] += v * xrow[j];
       }
     }
-  }
+  });
   return y;
 }
 
@@ -115,9 +115,8 @@ void CsrMatrix::SpmmAxpby(double a, const Matrix& z, double b, const Matrix& x,
   if (out->rows() != rows_ || out->cols() != d) {
     out->Resize(rows_, d);
   }
-#pragma omp parallel for schedule(dynamic, 256)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(rows_); ++i) {
-    double* orow = out->RowPtr(static_cast<std::size_t>(i));
+  internal::KernelForRows(rows_, 256, (nnz() + rows_) * d, [&](std::size_t i) {
+    double* orow = out->RowPtr(i);
     for (std::size_t j = 0; j < d; ++j) orow[j] = 0.0;
     for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       const double v = values_[static_cast<std::size_t>(k)];
@@ -127,11 +126,11 @@ void CsrMatrix::SpmmAxpby(double a, const Matrix& z, double b, const Matrix& x,
         orow[j] += v * zrow[j];
       }
     }
-    const double* xrow = x.RowPtr(static_cast<std::size_t>(i));
+    const double* xrow = x.RowPtr(i);
     for (std::size_t j = 0; j < d; ++j) {
       orow[j] = a * orow[j] + b * xrow[j];
     }
-  }
+  });
 }
 
 std::vector<double> CsrMatrix::Multiply(const std::vector<double>& x) const {

@@ -1,15 +1,21 @@
 // Blocked-GEMM engine vs the kept naive reference (linalg/gemm_kernels.h):
 // shape sweeps crossing every blocking boundary, alpha/beta handling, the
 // transposed drivers, empty operands, the parallelized matrix-vector /
-// transpose kernels, and the NaN/Inf propagation policy the old
-// zero-operand short-circuits violated. The CSR product (GemmCsr) is held to
-// the blocked engine's exact bits on the densified operand.
+// transpose kernels, the NaN/Inf propagation policy the old zero-operand
+// short-circuits violated, and the kernel tier's contract that a pool
+// fan-out returns the inline call's exact bits. The CSR product (GemmCsr)
+// is held to the blocked engine's exact bits on the densified operand.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "eval/parallel.h"
 #include "linalg/gemm_kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/ops.h"
@@ -333,6 +339,105 @@ TEST(ParallelKernels, TransposeTiledMatchesElementwise) {
       EXPECT_EQ(t(j, i), a(i, j));
     }
   }
+}
+
+// --- kernel tier: pool fan-out vs inline, bit for bit -----------------------
+
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Calls fn from inside a WorkerPool job, where every kernel runs inline.
+template <typename Fn>
+void InsidePoolJob(const Fn& fn) {
+  ParallelFor(2, 2, [&](int i) {
+    if (i == 0) fn();
+  });
+}
+
+// Top-level calls (pool fan-out above the work cutoff) against the same
+// calls made inside a pool job (inline), for every dense kernel on shapes
+// on both sides of internal::kKernelInlineWork.
+TEST(KernelTier, DenseKernelsMatchInlineBitwise) {
+  Rng rng(151);
+  // m = 401 spans four kGemmMC row blocks; 401 x 300 x 40 is above the
+  // cutoff per k-slab, 130 x 20 x 12 below it.
+  const Shape gemm_shapes[] = {{401, 300, 40}, {130, 20, 12}, {3, 700, 5}};
+  for (const Shape& s : gemm_shapes) {
+    for (bool trans_a : {false, true}) {
+      for (bool trans_b : {false, true}) {
+        const Matrix a = trans_a ? RandomMatrix(s.k, s.m, &rng)
+                                 : RandomMatrix(s.m, s.k, &rng);
+        const Matrix b = trans_b ? RandomMatrix(s.n, s.k, &rng)
+                                 : RandomMatrix(s.k, s.n, &rng);
+        const Matrix c0 = RandomMatrix(s.m, s.n, &rng);
+        Matrix top = c0;
+        internal::GemmBlocked(0.5, a, trans_a, b, trans_b, 0.25, &top);
+        Matrix inline_c = c0;
+        InsidePoolJob([&] {
+          internal::GemmBlocked(0.5, a, trans_a, b, trans_b, 0.25, &inline_c);
+        });
+        EXPECT_TRUE(BitEqual(top, inline_c))
+            << "gemm " << s.m << "x" << s.k << "x" << s.n
+            << " trans_a=" << trans_a << " trans_b=" << trans_b;
+      }
+    }
+  }
+  // 2000 x 600 and 600 x 2000 are above the cutoff, 50 x 30 below it.
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{2000, 600}, {600, 2000},
+        {50, 30}}) {
+    const Matrix a = RandomMatrix(rows, cols, &rng);
+    std::vector<double> x(cols), xt(rows);
+    for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
+    for (auto& v : xt) v = rng.Uniform(-1.0, 1.0);
+    std::vector<double> mv, mvt;
+    Matrix t;
+    InsidePoolJob([&] {
+      mv = MatVec(a, x);
+      mvt = MatVecTransA(a, xt);
+      t = Transpose(a);
+    });
+    EXPECT_TRUE(BitEqual(MatVec(a, x), mv)) << rows << "x" << cols;
+    EXPECT_TRUE(BitEqual(MatVecTransA(a, xt), mvt)) << rows << "x" << cols;
+    EXPECT_TRUE(BitEqual(Transpose(a), t)) << rows << "x" << cols;
+  }
+}
+
+// Two threads multiplying concurrently beside a long pool job: while the
+// job holds the pool both run inline, afterwards they race for it; every
+// product is bit-equal to the one computed alone.
+TEST(KernelTier, ConcurrentGemmsBesideLongJobMatchBitwise) {
+  Rng rng(157);
+  const Matrix a = RandomMatrix(401, 300, &rng);
+  const Matrix b = RandomMatrix(300, 40, &rng);
+  const Matrix want = MatMul(a, b);
+  constexpr int kIters = 6;
+  std::atomic<int> done{0};
+  std::atomic<bool> job_started{false};
+  std::thread long_job([&] {
+    ParallelFor(4, 4, [&](int) {
+      job_started.store(true);
+      // Holds the pool until the multiplying threads are half done.
+      while (done.load() < kIters) std::this_thread::yield();
+    });
+  });
+  while (!job_started.load()) std::this_thread::yield();
+  std::atomic<int> mismatches{0};
+  auto multiply = [&] {
+    for (int it = 0; it < kIters; ++it) {
+      if (!BitEqual(MatMul(a, b), want)) mismatches.fetch_add(1);
+      done.fetch_add(1);
+    }
+  };
+  std::thread first(multiply);
+  std::thread second(multiply);
+  first.join();
+  second.join();
+  long_job.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

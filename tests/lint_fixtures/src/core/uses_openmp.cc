@@ -1,5 +1,5 @@
-// Fixture: seeded no-raw-openmp violation (raw pragma outside the
-// sanctioned kernel dirs).
+// Fixture: seeded no-raw-openmp violation (a pragma outside the kernel
+// dirs).
 void RoguePragmaLoop(double* x, int n) {
 #pragma omp parallel for
   for (int i = 0; i < n; ++i) {

@@ -1,8 +1,10 @@
 // ParallelFor: index coverage, schedule-independent slot writes, inline
-// degeneration, thread-count resolution, and exception propagation.
+// degeneration (sequential, nested, and busy pool), thread-count
+// resolution, and exception propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -98,6 +100,47 @@ TEST(ParallelFor, AbandonsRemainingWorkAfterException) {
   } catch (const std::invalid_argument&) {
   }
   EXPECT_LT(ran.load(), 1000);
+}
+
+TEST(WorkerPool, RunFromSecondThreadIsInlineWhilePoolIsBusy) {
+  // One thread's job holds the pool until released; a Run from another
+  // plain thread must not wait for it, but cover every index on its own
+  // thread. A bounded wait turns the old serialize-and-block behavior into
+  // a failure instead of a hang.
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    ParallelFor(2, 2, [&](int) {
+      holding.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+
+  constexpr int kN = 64;
+  std::vector<int> visits(kN, 0);
+  std::atomic<int> off_thread{0};
+  std::atomic<bool> finished{false};
+  std::thread second([&] {
+    const std::thread::id self = std::this_thread::get_id();
+    WorkerPool::Global().Run(kN, 4, [&](int i) {
+      ++visits[static_cast<std::size_t>(i)];
+      if (std::this_thread::get_id() != self) off_thread.fetch_add(1);
+    });
+    finished.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!finished.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const bool finished_while_busy = finished.load();
+  release.store(true);
+  holder.join();
+  second.join();
+  EXPECT_TRUE(finished_while_busy);
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(visits, std::vector<int>(kN, 1));
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 // verbs (JSON-bodied replies — JSON stays the debug surface), hostile
 // frames (truncated, size-mismatched, oversized, unknown type), and the
 // mixed-transport contract: one server, concurrent JSON and binary
-// connections, responses derived from the same offline bits per query.
+// connections, responses derived from the same offline bits per query —
+// and a shutdown that answers accepted queries without waiting on idle
+// clients of either transport.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,6 +19,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -879,6 +882,57 @@ TEST_F(ServeFrameConformanceTest, ConcurrentJsonAndBinaryClientsMatchBits) {
     EXPECT_EQ(json_client.ReadLine(), FormatWireResponse(inductive_golden));
   }
   binary_thread.join();
+}
+
+// --- Shutdown --------------------------------------------------------------
+
+TEST_F(ServeFrameConformanceTest, ShutdownAnswersPendingAndSkipsIdleClients) {
+  // Idle clients of both transports, at the default 30 s io_timeout_ms,
+  // must not hold shutdown: RunTcpServer returns within 1 s of the flag,
+  // and a query submitted just before it is still answered. The fixture's
+  // listener is joined in TearDown, so this test runs its own server.
+  std::vector<ModelRouter::NamedModel> models;
+  models.push_back({"default", InferenceSession(*default_artifact_, graph_)});
+  ServeOptions options;
+  ASSERT_EQ(options.io_timeout_ms, 30000);
+  options.threads = 1;
+  InferenceServer server(std::move(models), options);
+  std::atomic<bool> stop{false};
+  std::atomic<int> own_port{0};
+  std::thread listener(
+      [&] { RunTcpServer(&server, /*port=*/0, &stop, &own_port); });
+  while (own_port.load(std::memory_order_acquire) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int port = own_port.load(std::memory_order_acquire);
+
+  JsonLineClient idle_json(port);
+  idle_json.SendLine("{\"id\": 1, \"node\": 5}");
+  ServeResponse golden;
+  golden.id = 1;
+  golden.node = 5;
+  golden.label = static_cast<int>(RowArgMax(offline_default_, 5));
+  golden.logits = offline_default_.RowCopy(5);
+  EXPECT_EQ(idle_json.ReadLine(), FormatWireResponse(golden));
+  FrameClient idle_binary(port);
+  ASSERT_EQ(idle_binary.Hello(), EncodeHello(kFrameVersion));
+  FrameClient last(port);
+  ASSERT_EQ(last.Hello(), EncodeHello(kFrameVersion));
+  ServeRequest request;
+  request.id = 77;
+  request.node = 9;
+  last.Send(EncodeRequestFrame(request));
+
+  const auto start = std::chrono::steady_clock::now();
+  stop.store(true, std::memory_order_release);
+  listener.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+  EXPECT_EQ(last.ReadFrameBytes(),
+            GoldenResponseFrame(77, 9, offline_default_, 9));
+  EXPECT_TRUE(last.AtEof());
+  EXPECT_TRUE(idle_binary.AtEof());
+  EXPECT_EQ(idle_json.ReadLine(), "");
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "eval/parallel.h"
 #include "linalg/ops.h"
 #include "rng/rng.h"
 #include "sparse/csr_matrix.h"
@@ -206,6 +208,49 @@ TEST_P(SpmmProperty, ColumnIndependence) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpmmProperty, ::testing::Range(0, 6));
+
+// Kernel tier: the SpMM kernels called at top level (pool fan-out over
+// 256-row blocks above the work cutoff) return the bits of the same calls
+// made inside a pool job, where they run inline.
+TEST(CsrMatrix, SpmmFanOutMatchesInlineBitwise) {
+  Rng rng(211);
+  // 3000 rows x 10 entries x 40 columns is above internal::kKernelInlineWork;
+  // 300 x 10 x 4 is below it.
+  for (const auto& [rows, d] :
+       {std::pair<std::size_t, std::size_t>{3000, 40}, {300, 4}}) {
+    CooBuilder builder(rows, rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (int e = 0; e < 10; ++e) {
+        builder.Add(i, rng.UniformInt(rows), rng.Uniform(-1.0, 1.0));
+      }
+    }
+    const CsrMatrix a = builder.Build();
+    Matrix z(rows, d), x(rows, d);
+    for (std::size_t k = 0; k < z.size(); ++k) {
+      z.data()[k] = rng.Uniform(-1.0, 1.0);
+      x.data()[k] = rng.Uniform(-1.0, 1.0);
+    }
+    Matrix product, axpby;
+    ParallelFor(2, 2, [&](int i) {
+      if (i != 0) return;
+      product = a.Multiply(z);
+      a.SpmmAxpby(0.85, z, 0.15, x, &axpby);
+    });
+    Matrix top_axpby;
+    a.SpmmAxpby(0.85, z, 0.15, x, &top_axpby);
+    const Matrix top_product = a.Multiply(z);
+    ASSERT_EQ(top_product.size(), product.size());
+    ASSERT_EQ(top_axpby.size(), axpby.size());
+    EXPECT_EQ(std::memcmp(top_product.data(), product.data(),
+                          product.size() * sizeof(double)),
+              0)
+        << "Multiply rows=" << rows;
+    EXPECT_EQ(std::memcmp(top_axpby.data(), axpby.data(),
+                          axpby.size() * sizeof(double)),
+              0)
+        << "SpmmAxpby rows=" << rows;
+  }
+}
 
 }  // namespace
 }  // namespace gcon

@@ -12,12 +12,12 @@ violation before it becomes a silent race or a broken memcmp proof:
                       results stay bitwise identical to sequential.
                       (tests/ are exempt: they drive concurrency scenarios
                       against the pool on purpose.)
-  no-raw-openmp       `#pragma omp` only in src/linalg/ and src/sparse/
-                      (the ROADMAP-sanctioned deterministic kernels, see
-                      CMakeLists GCON_ENABLE_OPENMP) plus the two thread
-                      homes above. A raw pragma anywhere else bypasses the
-                      one switch that sanitizer builds use to silence
-                      libgomp's TSan false positives.
+  no-raw-openmp       No `omp` pragma anywhere. The process has one thread
+                      runtime, the worker pool: the deterministic kernels
+                      in src/linalg/ and src/sparse/ fan their fixed
+                      blocks out through internal::KernelFor. A pragma
+                      would bring back a second runtime that the build no
+                      longer links and that TSan cannot see.
   scoped-cache-stats  No reads (or resets) of the *global* PropagationCache
                       stats to compute per-call deltas — the racy scheme
                       PR 3 retired. Per-call accounting uses
@@ -99,12 +99,11 @@ RULES = [
     },
     {
         "id": "no-raw-openmp",
-        "summary": "raw `#pragma omp` outside the deterministic kernel dirs "
-                   "(src/linalg/, src/sparse/)",
+        "summary": "`omp` pragma (parallel loops run on the worker pool: "
+                   "ParallelFor / internal::KernelFor)",
         "pattern": re.compile(r"#\s*pragma\s+omp\b"),
         "scan": ["src", "bench", "tools", "examples"],
-        "allow": ["src/linalg/", "src/sparse/", "src/eval/parallel.",
-                  "src/serve/"],
+        "allow": [],
     },
     {
         "id": "scoped-cache-stats",
