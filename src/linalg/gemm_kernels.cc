@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -313,7 +314,7 @@ struct ValueScan {
 
 // Reads only the 11 exponent bits (all ones: NaN or Inf; under 512: below
 // 2^-511 in magnitude), branch-free so the scan vectorizes.
-ValueScan ScanValues(const double* d, std::size_t size) {
+ValueScan ScanRange(const double* d, std::size_t size) {
   std::uint32_t non_finite = 0;
   std::uint32_t tiny = 0;
   for (std::size_t i = 0; i < size; ++i) {
@@ -325,6 +326,23 @@ ValueScan ScanValues(const double* d, std::size_t size) {
     tiny |= exponent < 512u ? 1u : 0u;
   }
   return {non_finite != 0, tiny != 0};
+}
+
+// ScanRange over fixed blocks; a scanned value costs about half a streaming
+// multiply-add (0.24 ns vectorized).
+ValueScan ScanValues(const double* d, std::size_t size) {
+  constexpr std::size_t kBlock = 8192;
+  std::vector<ValueScan> parts((size + kBlock - 1) / kBlock);
+  KernelForRanges(size, kBlock, size / 2,
+                  [&](std::size_t begin, std::size_t end) {
+                    parts[begin / kBlock] = ScanRange(d + begin, end - begin);
+                  });
+  ValueScan all;
+  for (const ValueScan& part : parts) {
+    all.non_finite |= part.non_finite;
+    all.tiny |= part.tiny;
+  }
+  return all;
 }
 
 Matrix Densify(const CsrOperand& a) {
@@ -374,64 +392,97 @@ constexpr unsigned kGemmKCShift = 8;
 static_assert((std::size_t{1} << kGemmKCShift) == kGemmKC,
               "the CSR row driver finds an entry's k-slab by shifting");
 
+// Fixed blocks of C's rows for the two CSR drivers' fan-out.
+constexpr std::size_t kCsrRowBlock = 16;
+constexpr std::size_t kCsrTransBlock = 256;
+
 // op(A) = A: one kernel call gathers the B rows named by row i's stored
 // entries into one accumulator row per k-slab; the slabs are then folded
-// into C's row i in k order.
+// into C's row i in k order. Each block of rows has its own accumulator.
 void GemmCsrRows(double alpha, const CsrOperand& a, const Matrix& b,
                  double beta, bool may_underflow, Matrix* c) {
   const std::size_t k = a.cols;
   const std::size_t n = b.cols();
   const std::size_t slabs = (k + kGemmKC - 1) / kGemmKC;
-  std::vector<double> acc(slabs * n);
-  for (std::size_t i = 0; i < a.rows; ++i) {
-    const std::int64_t e = a.row_ptr[i];
-    std::fill(acc.begin(), acc.end(), 0.0);
-    kCsrAxpy(static_cast<std::size_t>(a.row_ptr[i + 1] - e), a.col_idx + e,
-             a.values + e, b.data(), n, acc.data(), kGemmKCShift, n, n);
-    for (std::size_t slab = 0; slab < slabs; ++slab) {
-      double* slab_acc = acc.data() + slab * n;
-      const std::size_t pc = slab * kGemmKC;
-      if (may_underflow) {
-        RedoNegativeZeros(a, /*trans_a=*/false, i, pc,
-                          std::min(pc + kGemmKC, k), b, slab_acc);
+  const auto nnz = static_cast<std::uint64_t>(a.row_ptr[a.rows]);
+  const std::uint64_t work = (nnz + a.rows * slabs) * n;
+  KernelForRanges(a.rows, kCsrRowBlock, work, [&](std::size_t i0,
+                                                  std::size_t i1) {
+    std::vector<double> acc(slabs * n);
+    for (std::size_t i = i0; i < i1; ++i) {
+      const std::int64_t e = a.row_ptr[i];
+      std::fill(acc.begin(), acc.end(), 0.0);
+      kCsrAxpy(static_cast<std::size_t>(a.row_ptr[i + 1] - e), a.col_idx + e,
+               a.values + e, b.data(), n, acc.data(), kGemmKCShift, n, n);
+      for (std::size_t slab = 0; slab < slabs; ++slab) {
+        double* slab_acc = acc.data() + slab * n;
+        const std::size_t pc = slab * kGemmKC;
+        if (may_underflow) {
+          RedoNegativeZeros(a, /*trans_a=*/false, i, pc,
+                            std::min(pc + kGemmKC, k), b, slab_acc);
+        }
+        WriteRow(slab_acc, n, alpha, beta, slab == 0, c->RowPtr(i));
       }
-      WriteRow(slab_acc, n, alpha, beta, slab == 0, c->RowPtr(i));
     }
-  }
+  });
 }
 
 // op(A) = A^T: each stored row p of A scatters B's row p into the
 // accumulator rows its entries name; a whole k-slab of rows is accumulated
 // before it is folded into C. With alpha == 1 and beta == 0 the first slab's
-// fold is a plain copy, so that slab accumulates in C itself.
+// fold is a plain copy, so that slab accumulates in C itself. A block of
+// output rows takes from each stored row only its entries in that block's
+// column range, so every element is still summed over the same slabs in p
+// order.
 void GemmCsrTransA(double alpha, const CsrOperand& a, const Matrix& b,
                    double beta, bool may_underflow, Matrix* c) {
   const std::size_t m = a.cols;
   const std::size_t k = a.rows;
   const std::size_t n = b.cols();
-  const bool first_in_place = alpha == 1.0 && beta == 0.0;
-  Matrix acc;
-  for (std::size_t pc = 0; pc < k; pc += kGemmKC) {
-    const std::size_t pc_end = std::min(pc + kGemmKC, k);
-    const bool in_place = pc == 0 && first_in_place;
-    Matrix* dst = in_place ? c : &acc;
-    if (!in_place && acc.rows() == 0) acc.Resize(m, n);
-    dst->SetZero();
-    for (std::size_t p = pc; p < pc_end; ++p) {
-      const std::int64_t e = a.row_ptr[p];
-      kCsrAxpy(static_cast<std::size_t>(a.row_ptr[p + 1] - e), a.col_idx + e,
-               a.values + e, b.RowPtr(p), 0, dst->data(), 0, n, n);
+  const std::size_t blocks = (m + kCsrTransBlock - 1) / kCsrTransBlock;
+  // split[p * (blocks + 1) + blk]: row p's first entry whose column is at
+  // least blk * kCsrTransBlock; one pass instead of a search per block.
+  std::vector<std::int64_t> split(k * (blocks + 1));
+  for (std::size_t p = 0; p < k; ++p) {
+    std::int64_t* row_split = split.data() + p * (blocks + 1);
+    std::size_t blk = 0;
+    for (std::int64_t e = a.row_ptr[p]; e < a.row_ptr[p + 1]; ++e) {
+      const auto col = static_cast<std::size_t>(a.col_idx[e]);
+      while (blk * kCsrTransBlock <= col) row_split[blk++] = e;
     }
-    for (std::size_t i = 0; i < m; ++i) {
-      if (may_underflow) {
-        RedoNegativeZeros(a, /*trans_a=*/true, i, pc, pc_end, b,
-                          dst->RowPtr(i));
-      }
-      if (!in_place) {
-        WriteRow(acc.RowPtr(i), n, alpha, beta, pc == 0, c->RowPtr(i));
-      }
-    }
+    while (blk <= blocks) row_split[blk++] = a.row_ptr[p + 1];
   }
+  const bool first_in_place = alpha == 1.0 && beta == 0.0;
+  // Shared by the blocks, which zero and use only their own rows.
+  std::unique_ptr<double[]> acc;
+  if (k > kGemmKC || !first_in_place) acc.reset(new double[m * n]);
+  const auto nnz = static_cast<std::uint64_t>(a.row_ptr[k]);
+  const std::uint64_t work =
+      (nnz + m * ((k + kGemmKC - 1) / kGemmKC) + k * blocks) * n;
+  KernelFor(blocks, work, [&](int blk) {
+    const std::size_t j0 = static_cast<std::size_t>(blk) * kCsrTransBlock;
+    const std::size_t j1 = std::min(j0 + kCsrTransBlock, m);
+    for (std::size_t pc = 0; pc < k; pc += kGemmKC) {
+      const std::size_t pc_end = std::min(pc + kGemmKC, k);
+      const bool in_place = pc == 0 && first_in_place;
+      double* dst = in_place ? c->data() : acc.get();
+      std::fill(dst + j0 * n, dst + j1 * n, 0.0);
+      for (std::size_t p = pc; p < pc_end; ++p) {
+        const std::int64_t* row_split =
+            split.data() + p * (blocks + 1) + blk;
+        kCsrAxpy(static_cast<std::size_t>(row_split[1] - row_split[0]),
+                 a.col_idx + row_split[0], a.values + row_split[0],
+                 b.RowPtr(p), 0, dst, 0, n, n);
+      }
+      for (std::size_t i = j0; i < j1; ++i) {
+        double* row = dst + i * n;
+        if (may_underflow) {
+          RedoNegativeZeros(a, /*trans_a=*/true, i, pc, pc_end, b, row);
+        }
+        if (!in_place) WriteRow(row, n, alpha, beta, pc == 0, c->RowPtr(i));
+      }
+    }
+  });
 }
 
 }  // namespace

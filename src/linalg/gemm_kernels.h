@@ -31,8 +31,9 @@
 // accumulator; the one case where that sign can reach C (a product that
 // underflows to -0, possible only with values below 2^-511) is detected and
 // recomputed densely. When B holds a NaN or Inf the skip is no longer exact
-// (0 * Inf = NaN), so GemmCsr runs the dense engine instead. It runs on the
-// calling thread.
+// (0 * Inf = NaN), so GemmCsr runs the dense engine instead. It fans out
+// over fixed blocks of C's rows, each summed by one thread in the same order,
+// so its bits do not depend on the thread count either.
 #ifndef GCON_LINALG_GEMM_KERNELS_H_
 #define GCON_LINALG_GEMM_KERNELS_H_
 
@@ -55,31 +56,44 @@ inline constexpr std::size_t kGemmMC = 128;
 inline constexpr std::size_t kGemmKC = 256;
 inline constexpr std::size_t kGemmNC = 4096;
 
-/// Multiply-adds below which a kernel runs inline. Measured on 4 vCPUs: a
-/// pool wake and join costs 15-35 us, a few percent of the ~370 us SpMM or
-/// MatVec take inline at this size; the AVX2 GEMM's fan-out already runs
-/// 1.0-1.6x faster here.
-inline constexpr std::uint64_t kKernelInlineWork = 1u << 19;
+/// Work below which a kernel runs inline, in units of one multiply-add of
+/// a streaming kernel (a CSR or SpMM row loop: 0.45-0.6 ns on a 4-vCPU AVX2
+/// host). Measured there: a ParallelFor of 4 blocks after an idle gap, the
+/// pool's wake and join, costs 5.5-10.5 us (medians of 2000 calls), so the
+/// cutoff is 30-40 us of inline work, which a four-way fan-out finishes in
+/// about half that. Call sites whose element costs more or less than that
+/// multiply-add scale their estimate (an Adam element is ~3 ns, a tanh
+/// ~20 ns).
+inline constexpr std::uint64_t kKernelInlineWork = 1u << 16;
 
 /// The kernels' parallel loop: fn(block) for every block in [0, blocks),
-/// which together cost `work` multiply-adds (element moves, for
-/// Transpose). Below kKernelInlineWork it runs inline in block order, else
-/// through ParallelFor at one thread per hardware thread. Blocks write
-/// disjoint output and never depend on the thread count, so neither do the
-/// bits.
+/// which together cost `work` units (above). Below kKernelInlineWork it
+/// runs inline in block order, else through ParallelFor at one thread per
+/// hardware thread. Blocks write disjoint output and never depend on the
+/// thread count, so neither do the bits.
 void KernelFor(std::size_t blocks, std::uint64_t work,
                const std::function<void(int)>& fn);
+
+/// KernelFor over [0, count) in fixed chunks of `block` elements:
+/// range_fn(begin, end) once per chunk.
+template <typename RangeFn>
+void KernelForRanges(std::size_t count, std::size_t block, std::uint64_t work,
+                     const RangeFn& range_fn) {
+  KernelFor((count + block - 1) / block, work, [&](int chunk) {
+    const std::size_t begin = static_cast<std::size_t>(chunk) * block;
+    range_fn(begin, begin + block < count ? begin + block : count);
+  });
+}
 
 /// KernelFor over rows: row_fn(i) for every i in [0, rows), one job per
 /// fixed block of `block_rows` rows.
 template <typename RowFn>
 void KernelForRows(std::size_t rows, std::size_t block_rows,
                    std::uint64_t work, const RowFn& row_fn) {
-  KernelFor((rows + block_rows - 1) / block_rows, work, [&](int block) {
-    const std::size_t i0 = static_cast<std::size_t>(block) * block_rows;
-    const std::size_t i1 = i0 + block_rows < rows ? i0 + block_rows : rows;
-    for (std::size_t i = i0; i < i1; ++i) row_fn(i);
-  });
+  KernelForRanges(rows, block_rows, work,
+                  [&](std::size_t i0, std::size_t i1) {
+                    for (std::size_t i = i0; i < i1; ++i) row_fn(i);
+                  });
 }
 
 /// C = alpha * op(A) * op(B) + beta * C where op transposes when the flag
@@ -102,8 +116,7 @@ struct CsrOperand {
 
 /// C = alpha * op(A) * B + beta * C with A sparse, bitwise identical to
 /// GemmBlocked(alpha, dense(A), trans_a, b, /*trans_b=*/false, beta, c).
-/// Shapes after op: (m x k) * (k x n) -> C (m x n). Runs on the calling
-/// thread.
+/// Shapes after op: (m x k) * (k x n) -> C (m x n).
 void GemmCsr(double alpha, const CsrOperand& a, bool trans_a, const Matrix& b,
              double beta, Matrix* c);
 

@@ -95,8 +95,15 @@ Matrix Mlp::Input::Times(const Matrix& w) const {
   return csr != nullptr ? MatMul(*csr, w) : MatMul(*dense, w);
 }
 
-Matrix Mlp::Input::TransTimes(const Matrix& dz) const {
-  return csr != nullptr ? MatMulTransA(*csr, dz) : MatMulTransA(*dense, dz);
+void Mlp::Input::TransTimes(const Matrix& dz, Matrix* out) const {
+  if (csr == nullptr) {
+    *out = MatMulTransA(*dense, dz);
+    return;
+  }
+  if (out->rows() != csr->cols() || out->cols() != dz.cols()) {
+    out->Resize(csr->cols(), dz.cols());
+  }
+  SparseGemm(1.0, *csr, /*trans_a=*/true, dz, 0.0, out);
 }
 
 void Mlp::ForwardKeep(Input x, std::vector<Matrix>* outputs) const {
@@ -172,15 +179,21 @@ double Mlp::LossAndGrads(Input x, const std::vector<int>& labels,
   Matrix dz;
   const double loss = SoftmaxCrossEntropy(outputs.back(), labels, idx, &dz);
   const std::size_t layer_count = weights_.size();
-  dw->assign(layer_count, Matrix());
-  db->assign(layer_count, Matrix());
+  // A caller's buffers from the last epoch are reused: layer 0's gradient
+  // (d0 x d1, the largest) is overwritten in place rather than reallocated.
+  dw->resize(layer_count);
+  db->resize(layer_count);
   for (std::size_t l = layer_count; l-- > 0;) {
-    (*dw)[l] = l > 0 ? MatMulTransA(outputs[l - 1], dz) : x.TransTimes(dz);
-    Matrix bias_grad(1, dz.cols());
+    if (l > 0) {
+      (*dw)[l] = MatMulTransA(outputs[l - 1], dz);
+    } else {
+      x.TransTimes(dz, &(*dw)[0]);
+    }
+    Matrix& bias_grad = (*db)[l];
+    bias_grad.Resize(1, dz.cols());
     for (std::size_t j = 0; j < dz.cols(); ++j) {
       bias_grad(0, j) = ColSum(dz, j);
     }
-    (*db)[l] = std::move(bias_grad);
     if (l == 0) break;
     Matrix dh = MatMulTransB(dz, weights_[l]);
     Matrix deriv;

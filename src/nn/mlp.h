@@ -104,7 +104,8 @@ class Mlp {
     const Matrix* dense = nullptr;
     const CsrMatrix* csr = nullptr;
     Matrix Times(const Matrix& w) const;        ///< X·W
-    Matrix TransTimes(const Matrix& dz) const;  ///< Xᵀ·dZ
+    /// *out = Xᵀ·dZ; a CSR input writes in place when *out has the shape.
+    void TransTimes(const Matrix& dz, Matrix* out) const;
   };
 
   /// Forward keeping every layer's output (outputs[l] = layer l's

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "linalg/gemm_kernels.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -85,7 +86,14 @@ void AdamUpdateScalar(const AdamCoefficients& k, std::size_t count,
 
 void AdamUpdate(const AdamCoefficients& k, std::size_t count, const double* g,
                 double* p, double* m, double* v) {
-  kAdamUpdate(k, count, g, p, m, v);
+  // An element costs ~3 ns at the AVX2 rate (two divides and a square
+  // root), about six streaming multiply-adds. Blocks are a multiple of the
+  // four lanes, though the scalar tail gives the same bits anyway.
+  KernelForRanges(count, 4096, 6 * std::uint64_t{count},
+                  [&](std::size_t begin, std::size_t end) {
+                    kAdamUpdate(k, end - begin, g + begin, p + begin,
+                                m + begin, v + begin);
+                  });
 }
 
 }  // namespace internal
@@ -116,30 +124,6 @@ void Adam::Step(std::size_t slot, const Matrix& grad, Matrix* param) {
       options_.weight_decay};
   internal::AdamUpdate(k, param->size(), grad.data(), param->data(),
                        s.m.data(), s.v.data());
-}
-
-std::size_t Sgd::Register(const Matrix& param) {
-  Matrix vel(param.rows(), param.cols());
-  velocity_.push_back(std::move(vel));
-  return velocity_.size() - 1;
-}
-
-void Sgd::Step(std::size_t slot, const Matrix& grad, Matrix* param) {
-  GCON_CHECK_LT(slot, velocity_.size());
-  Matrix& vel = velocity_[slot];
-  GCON_CHECK_EQ(grad.rows(), param->rows());
-  GCON_CHECK_EQ(grad.cols(), param->cols());
-  double* p = param->data();
-  const double* g = grad.data();
-  double* v = vel.data();
-  const double mu = options_.momentum;
-  const double lr = options_.learning_rate;
-  const double wd = options_.weight_decay;
-  for (std::size_t k = 0; k < param->size(); ++k) {
-    const double gk = g[k] + wd * p[k];
-    v[k] = mu * v[k] + gk;
-    p[k] -= lr * v[k];
-  }
 }
 
 }  // namespace gcon

@@ -67,37 +67,17 @@ struct AdamCoefficients {
 /// One Adam update of `count` parameters p with gradients g and moments
 /// m, v (no two of them may overlap). AdamUpdateScalar is the reference
 /// loop; AdamUpdate runs the kernel chosen once at startup (AVX2 when the
-/// CPU has it, else the reference). The AVX2 kernel does the same IEEE
+/// CPU has it, else the reference) over fixed element blocks on the kernel
+/// tier (linalg/gemm_kernels.h). The AVX2 kernel does the same IEEE
 /// multiplies, adds, divides and square roots in the same order, never
-/// fused, so both give the same bits. Exposed for tests and benchmarks.
+/// fused, and each element is updated alone, so every path gives the same
+/// bits. Exposed for tests and benchmarks.
 void AdamUpdateScalar(const AdamCoefficients& k, std::size_t count,
                       const double* g, double* p, double* m, double* v);
 void AdamUpdate(const AdamCoefficients& k, std::size_t count, const double* g,
                 double* p, double* m, double* v);
 
 }  // namespace internal
-
-/// Plain (full-batch or stochastic) gradient descent with optional momentum.
-class Sgd {
- public:
-  struct Options {
-    double learning_rate = 0.1;
-    double momentum = 0.0;
-    double weight_decay = 0.0;
-  };
-
-  explicit Sgd(Options options) : options_(options) {}
-
-  std::size_t Register(const Matrix& param);
-  void Step(std::size_t slot, const Matrix& grad, Matrix* param);
-
-  const Options& options() const { return options_; }
-  void set_learning_rate(double lr) { options_.learning_rate = lr; }
-
- private:
-  Options options_;
-  std::vector<Matrix> velocity_;
-};
 
 }  // namespace gcon
 

@@ -902,8 +902,10 @@ int RunTcpServer(InferenceServer* server, int port,
     if (shutdown != nullptr && shutdown->load(std::memory_order_acquire)) {
       break;
     }
+    // A short tick: an in-process stop (a test fixture, an embedded bench)
+    // is noticed within 5 ms, for 200 cheap wake-ups a second while idle.
     pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
+    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/5);
     if (ready <= 0) continue;  // timeout (recheck shutdown) or EINTR
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {

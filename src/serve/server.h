@@ -189,10 +189,10 @@ class InferenceServer {
 /// port). Prints one "serving on 127.0.0.1:<port> ..." line to stderr once
 /// the socket is listening — and publishes the bound port to *bound_port
 /// when given, so in-process callers (tests) can connect to an ephemeral
-/// port — then accepts until `shutdown` (when given) becomes true or the
-/// process dies. Each connection's transport is sniffed from its first
-/// byte: 0xC0 starts the binary frame handshake (serve/frame.h), anything
-/// else is served line-by-line per serve/wire.h.
+/// port — then accepts until `shutdown` (when given) becomes true, which it
+/// notices within 5 ms, or the process dies. Each connection's transport is
+/// sniffed from its first byte: 0xC0 starts the binary frame handshake
+/// (serve/frame.h), anything else is served line-by-line per serve/wire.h.
 /// Robustness: transient accept failures (EINTR/ECONNABORTED, and
 /// EMFILE/ENFILE-style exhaustion with doubling backoff) are logged and
 /// survived, never fatal; every accepted socket gets

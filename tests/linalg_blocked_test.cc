@@ -406,6 +406,63 @@ TEST(KernelTier, DenseKernelsMatchInlineBitwise) {
   }
 }
 
+// GemmCsr's row and trans_a drivers at the top level (fanned out above the
+// cutoff) against the same call inside a pool job (inline) and against the
+// blocked engine on the dense operand: k on both sides of KC, alpha/beta
+// other than (1, 0), the tiny-value path that redoes -0 sums densely, and
+// the NaN fallback to the dense engine, on shapes on both sides of
+// internal::kKernelInlineWork.
+TEST(KernelTier, CsrProductsMatchInlineBitwise) {
+  Rng rng(163);
+  // (m, k, n) after op. 600 x 3000 and 3000 x 300 at 1% are above the
+  // cutoff either way (38 and 188 row blocks; 3 and 12 blocks of output
+  // rows under trans_a, over 12 and 2 k-slabs); 2879 x 140 x 32 is the
+  // cora_ml encoder's Xᵀ·dZ (one k-slab, summed in C itself);
+  // 20 x 200 x 6 is below the cutoff.
+  const Shape shapes[] = {
+      {600, 3000, 32}, {3000, 300, 16}, {2879, 140, 32}, {20, 200, 6}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Shape& s : shapes) {
+    for (bool trans_a : {false, true}) {
+      for (int variant = 0; variant < 3; ++variant) {
+        // variant 1: the first 8 k-indices hold values near 1e-200 in both
+        // operands, so those products underflow to signed zeros, and a -0
+        // sum must be redone densely (where later zero terms turn it +0);
+        // variant 2: B holds a NaN.
+        Matrix a_dense = trans_a ? SparseRandomMatrix(s.k, s.m, 0.01, &rng)
+                                 : SparseRandomMatrix(s.m, s.k, 0.01, &rng);
+        Matrix b = RandomMatrix(s.k, s.n, &rng);
+        if (variant == 1) {
+          for (std::size_t p = 0; p < 8; ++p) {
+            for (std::size_t j = 0; j < s.n; ++j) b(p, j) *= 1e-200;
+            for (std::size_t i = 0; i < s.m; ++i) {
+              (trans_a ? a_dense(p, i) : a_dense(i, p)) = 1e-200;
+            }
+          }
+        }
+        if (variant == 2) b(s.k - 1, 0) = nan;
+        const CsrMatrix a = CsrMatrix::FromDense(a_dense);
+        const Matrix c0 = RandomMatrix(s.m, s.n, &rng);
+        for (const auto& [alpha, beta] :
+             {std::pair<double, double>{1.0, 0.0}, {0.5, 0.25}, {-2.0, 1.0}}) {
+          Matrix top = c0;
+          SparseGemm(alpha, a, trans_a, b, beta, &top);
+          Matrix inline_c = c0;
+          InsidePoolJob(
+              [&] { SparseGemm(alpha, a, trans_a, b, beta, &inline_c); });
+          Matrix dense = c0;
+          internal::GemmBlocked(alpha, a_dense, trans_a, b,
+                                /*trans_b=*/false, beta, &dense);
+          EXPECT_TRUE(BitEqual(top, inline_c) && BitEqual(top, dense))
+              << "m=" << s.m << " k=" << s.k << " n=" << s.n
+              << " trans_a=" << trans_a << " variant=" << variant
+              << " alpha=" << alpha << " beta=" << beta;
+        }
+      }
+    }
+  }
+}
+
 // Two threads multiplying concurrently beside a long pool job: while the
 // job holds the pool both run inline, afterwards they race for it; every
 // product is bit-equal to the one computed alone.

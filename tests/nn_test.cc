@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "eval/parallel.h"
 #include "linalg/ops.h"
 #include "nn/activations.h"
 #include "nn/loss.h"
@@ -12,6 +13,7 @@
 #include "nn/optim.h"
 #include "obs/metrics.h"
 #include "rng/rng.h"
+#include "sparse/csr_matrix.h"
 
 namespace gcon {
 namespace {
@@ -21,6 +23,20 @@ std::uint64_t CsrGemmCalls() {
   return obs::MetricsRegistry::Global()
       .counter("gcon_gemm_calls_total", "", {{"shape", "csr"}})
       ->value();
+}
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Calls fn from inside a WorkerPool job, where every kernel runs inline.
+template <typename Fn>
+void InsidePoolJob(const Fn& fn) {
+  ParallelFor(2, 2, [&](int i) {
+    if (i == 0) fn();
+  });
 }
 
 bool RowBitEqual(const Matrix& a, std::size_t i, const Matrix& b,
@@ -165,21 +181,6 @@ TEST(Optim, AdamMinimizesQuadratic) {
   EXPECT_TRUE(w.AllClose(target, 1e-3));
 }
 
-TEST(Optim, SgdMomentumMinimizesQuadratic) {
-  Matrix w(2, 2);
-  Matrix target{{2.0, -1.0}, {0.0, 4.0}};
-  Sgd::Options options;
-  options.learning_rate = 0.05;
-  options.momentum = 0.9;
-  Sgd sgd(options);
-  const std::size_t slot = sgd.Register(w);
-  for (int iter = 0; iter < 800; ++iter) {
-    Matrix grad = Sub(w, target);
-    sgd.Step(slot, grad, &w);
-  }
-  EXPECT_TRUE(w.AllClose(target, 1e-3));
-}
-
 TEST(Optim, WeightDecayShrinksParameters) {
   Matrix w(1, 1, 10.0);
   Adam::Options options;
@@ -236,6 +237,13 @@ void ExpectGradientsMatchFiniteDifference(const Matrix& x,
       w->data()[k] = original;
       std::vector<Matrix> dw3, db3;
       mlp.LossAndGrads(x, labels, idx, &dw3, &db3);
+      // Training reuses its gradient buffers every epoch: a call into the
+      // ones last written at original + h must overwrite them, not add.
+      mlp.LossAndGrads(x, labels, idx, &dw, &db);
+      for (std::size_t l = 0; l < dw3.size(); ++l) {
+        EXPECT_TRUE(BitEqual(dw[l], dw3[l]) && BitEqual(db[l], db3[l]))
+            << "reused buffers, layer " << l;
+      }
       const double fd = (hi - lo) / (2.0 * h);
       EXPECT_NEAR(dw3[static_cast<std::size_t>(layer)].data()[k], fd, 1e-5)
           << "layer " << layer << " entry " << k;
@@ -401,13 +409,16 @@ TEST(Mlp, AccuracyHelper) {
 
 // The dispatched Adam kernel (AVX2 where the CPU has it) against the scalar
 // reference, 50 steps from the same state: every parameter and moment must
-// match bit for bit, IEEE specials in the gradient included.
+// match bit for bit, IEEE specials in the gradient included. The top-level
+// call fans out over element blocks at the larger sizes (2879 x 32 is the
+// encoder's W0; 4097 and 12291 end in a partial block and a partial lane);
+// a third copy runs inside a pool job, where it is inline.
 TEST(Adam, DispatchedStepMatchesScalarBitwise) {
   const double inf = std::numeric_limits<double>::infinity();
   const double specials[] = {0.0,  -0.0, 4.9406564584124654e-324,
                              -1e-310, inf, -inf,
                              std::numeric_limits<double>::quiet_NaN()};
-  for (std::size_t size : {0, 1, 3, 4, 5, 2879 * 32}) {
+  for (std::size_t size : {0, 1, 3, 4, 5, 4097, 12291, 2879 * 32}) {
     for (double weight_decay : {0.0, 1e-5}) {
       SCOPED_TRACE("size " + std::to_string(size) + " weight decay " +
                    std::to_string(weight_decay));
@@ -415,6 +426,7 @@ TEST(Adam, DispatchedStepMatchesScalarBitwise) {
       std::vector<double> p(size), m(size, 0.0), v(size, 0.0), g(size);
       for (double& x : p) x = rng.Uniform(-1.0, 1.0);
       std::vector<double> p_ref = p, m_ref = m, v_ref = v;
+      std::vector<double> p_in = p, m_in = m, v_in = v;
       for (int t = 1; t <= 50; ++t) {
         for (std::size_t k = 0; k < size; ++k) {
           // Specials are rare so most lanes stay finite for all 50 steps.
@@ -428,14 +440,113 @@ TEST(Adam, DispatchedStepMatchesScalarBitwise) {
         internal::AdamUpdate(k, size, g.data(), p.data(), m.data(), v.data());
         internal::AdamUpdateScalar(k, size, g.data(), p_ref.data(),
                                    m_ref.data(), v_ref.data());
+        InsidePoolJob([&] {
+          internal::AdamUpdate(k, size, g.data(), p_in.data(), m_in.data(),
+                               v_in.data());
+        });
       }
       if (size == 0) continue;  // memcmp must not see null pointers
       const std::size_t bytes = size * sizeof(double);
       EXPECT_EQ(std::memcmp(p.data(), p_ref.data(), bytes), 0);
       EXPECT_EQ(std::memcmp(m.data(), m_ref.data(), bytes), 0);
       EXPECT_EQ(std::memcmp(v.data(), v_ref.data(), bytes), 0);
+      EXPECT_EQ(std::memcmp(p.data(), p_in.data(), bytes), 0);
+      EXPECT_EQ(std::memcmp(m.data(), m_in.data(), bytes), 0);
+      EXPECT_EQ(std::memcmp(v.data(), v_in.data(), bytes), 0);
     }
   }
+}
+
+// Both activation loops at the top level (fanned out over element blocks
+// above the cutoff) against a plain loop and against the same call inside
+// a pool job, on 2100 x 33 (above the cutoff for every activation and for
+// the derivative) and 7 x 5 (below it).
+TEST(KernelTier, ActivationsMatchInlineBitwise) {
+  Rng rng(41);
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{2100, 33}, {7, 5}}) {
+    Matrix x(rows, cols);
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      x.data()[k] = rng.Uniform(-4.0, 4.0);
+    }
+    for (Activation act : {Activation::kIdentity, Activation::kRelu,
+                           Activation::kTanh, Activation::kSigmoid}) {
+      Matrix want = x;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        double& v = want.data()[k];
+        if (act == Activation::kRelu && v < 0.0) v = 0.0;
+        if (act == Activation::kTanh) v = std::tanh(v);
+        if (act == Activation::kSigmoid) v = 1.0 / (1.0 + std::exp(-v));
+      }
+      Matrix top = x;
+      ApplyActivationInPlace(act, &top);
+      Matrix inline_out = x;
+      InsidePoolJob([&] { ApplyActivationInPlace(act, &inline_out); });
+      EXPECT_TRUE(BitEqual(top, want)) << rows << "x" << cols;
+      EXPECT_TRUE(BitEqual(top, inline_out)) << rows << "x" << cols;
+
+      Matrix deriv_want(rows, cols);
+      for (std::size_t k = 0; k < top.size(); ++k) {
+        const double o = top.data()[k];
+        double& d = deriv_want.data()[k];
+        switch (act) {
+          case Activation::kIdentity: d = 1.0; break;
+          case Activation::kRelu: d = o > 0.0 ? 1.0 : 0.0; break;
+          case Activation::kTanh: d = 1.0 - o * o; break;
+          case Activation::kSigmoid: d = o * (1.0 - o); break;
+        }
+      }
+      Matrix deriv, deriv_inline;
+      ActivationDerivFromOutput(act, top, &deriv);
+      InsidePoolJob([&] { ActivationDerivFromOutput(act, top, &deriv_inline); });
+      EXPECT_TRUE(BitEqual(deriv, deriv_want)) << rows << "x" << cols;
+      EXPECT_TRUE(BitEqual(deriv, deriv_inline)) << rows << "x" << cols;
+    }
+  }
+}
+
+// Training on a CSR input with every encoder kernel fanned out (CSR X·W0
+// and Xᵀ·dZ over two k-slabs, Adam on W0, tanh) gives the same weights, bit
+// for bit, as the same training inside a pool job, where it all runs inline.
+TEST(KernelTier, MlpTrainOnCsrMatchesInlineBitwise) {
+  Rng rng(43);
+  const std::size_t n = 600;
+  const std::size_t d = 3000;
+  Matrix x_dense(n, d);
+  std::vector<int> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = static_cast<int>(i % 5);
+    for (std::size_t j = 0; j < d; ++j) {
+      if (rng.Uniform(0.0, 1.0) < 0.01) x_dense(i, j) = rng.Uniform(0.0, 1.0);
+    }
+    // A feature that tells the class, so training has something to learn.
+    x_dense(i, static_cast<std::size_t>(labels[i])) = 1.0;
+  }
+  const CsrMatrix x = CsrMatrix::FromDense(x_dense);
+  std::vector<int> train_idx, val_idx;
+  for (int i = 0; i < static_cast<int>(n); ++i) {
+    (i < 400 ? train_idx : val_idx).push_back(i);
+  }
+  MlpOptions options;
+  options.dims = {static_cast<int>(d), 32, 16, 5};
+  options.hidden_activation = Activation::kTanh;
+  options.epochs = 12;
+  options.seed = 3;
+  Mlp top(options);
+  const double top_loss = top.Train(x, labels, train_idx, val_idx);
+  Mlp inline_mlp(options);
+  double inline_loss = 0.0;
+  InsidePoolJob(
+      [&] { inline_loss = inline_mlp.Train(x, labels, train_idx, val_idx); });
+  EXPECT_EQ(std::memcmp(&top_loss, &inline_loss, sizeof(double)), 0);
+  for (int l = 0; l < top.num_layers(); ++l) {
+    EXPECT_TRUE(BitEqual(top.weight(l), inline_mlp.weight(l))) << "layer " << l;
+    EXPECT_TRUE(BitEqual(top.bias(l), inline_mlp.bias(l))) << "layer " << l;
+  }
+  // The dense form of the same input takes the same CSR path.
+  Mlp dense_input(options);
+  dense_input.Train(x_dense, labels, train_idx, val_idx);
+  EXPECT_TRUE(BitEqual(top.weight(0), dense_input.weight(0)));
 }
 
 }  // namespace

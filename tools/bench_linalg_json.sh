@@ -11,6 +11,10 @@
 #   - BM_AdamStep is one encoder Adam step, scalar reference vs the
 #     dispatched (AVX2) kernel (same bits), tracked by real_time.
 #
+# Each benchmark runs 5 repetitions and only the aggregates are written:
+# gates read the entries whose aggregate_name is "median" (keyed by
+# run_name), so one noisy repetition cannot fail or pass a gate.
+#
 # Usage: bench_linalg_json.sh <path-to-bench_micro> [output.json]
 # GCON_PERF_SMOKE=1 shortens min-time for a quick CI smoke run.
 set -eu
@@ -26,7 +30,8 @@ fi
 "${BENCH_BIN}" \
   --benchmark_filter='BM_DenseGemm|BM_CsrGemm|BM_AdamStep|BM_SpMM|BM_ApprPropagate|BM_ApprRound|BM_PropagationCacheHit' \
   --benchmark_min_time="${MIN_TIME}" \
-  --benchmark_repetitions=1 \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
   --benchmark_format=json \
   --benchmark_out_format=json \
   --benchmark_out="${OUT}" >/dev/null

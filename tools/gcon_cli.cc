@@ -331,7 +331,7 @@ std::vector<ServeModelFlag> ParseServeModels(
   return models;
 }
 
-// SIGTERM/SIGINT flip this flag; the accept loop polls it every 200ms and
+// SIGTERM/SIGINT flip this flag; the accept loop polls it every 5 ms and
 // returns, after which CmdServe drains the server (admission closed, every
 // accepted query answered) before exiting. An atomic<bool> store is
 // async-signal-safe; anything fancier in a handler is not.
