@@ -46,7 +46,7 @@ void CheckRequestPayload(const char* payload, std::size_t size) {
   // view into `payload`, never an owning copy.
   if (!request.features.empty()) __builtin_trap();
   if (request.feature_view.data != nullptr) {
-    const char* lo = reinterpret_cast<const char*>(request.feature_view.data);
+    const char* lo = request.feature_view.data;
     if (lo < payload || lo + 4ull * request.feature_view.count > payload + size)
       __builtin_trap();
   }
@@ -56,7 +56,7 @@ void CheckRequestPayload(const char* payload, std::size_t size) {
   owned.feature_view = {};
   for (std::uint32_t i = 0; i < request.feature_view.count; ++i) {
     owned.features.push_back(
-        static_cast<double>(request.feature_view.data[i]));
+        static_cast<double>(request.feature_view[i]));
   }
   const std::string frame = gcon::EncodeRequestFrame(owned);
   std::vector<std::uint32_t> aligned;

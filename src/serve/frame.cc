@@ -203,7 +203,7 @@ std::string EncodeRequestFrame(const ServeRequest& request) {
   if (request.has_features) {
     if (request.feature_view.data != nullptr) {
       for (std::uint32_t j = 0; j < request.feature_view.count; ++j) {
-        PutF32(&payload, request.feature_view.data[j]);
+        PutF32(&payload, request.feature_view[j]);
       }
     } else {
       // The binary transport is f32: doubles narrow here, on the client —
@@ -288,10 +288,9 @@ bool ParseRequestPayload(const char* payload, std::size_t len,
   }
   if (has_features) {
     // The zero-copy contract: the request's feature payload IS the frame
-    // buffer. 36 + 4*edge_count keeps this offset 4-aligned whenever the
-    // buffer base is (the server reads frames into vector<char> storage,
-    // which operator new aligns well past 4).
-    request->feature_view.data = reinterpret_cast<const float*>(cursor);
+    // buffer, at whatever alignment the frame landed (FeatureView loads
+    // each value byte-wise).
+    request->feature_view.data = cursor;
     request->feature_view.count = feature_dim;
     cursor += 4ull * feature_dim;
   }

@@ -163,11 +163,12 @@ std::string EncodeRequestFrame(const ServeRequest& request);
 /// Decodes a request payload *in place*: on success, a feature-carrying
 /// request's ServeRequest::feature_view points INTO `payload` (the caller
 /// owns keeping those bytes alive — the server pins the frame buffer via
-/// ServeRequest::frame_pin; see inference_session.h). `payload` must be
-/// 4-byte aligned so the f32 view is loadable. On failure returns false
-/// with *error set and request->id carrying the id whenever the payload
-/// reached offset 8 — structured error correlation, the binary analogue
-/// of RecoverWireId.
+/// ServeRequest::frame_pin; see inference_session.h). `payload` may sit
+/// at any alignment — the server parses frames where they landed in its
+/// receive buffer, and the view loads values byte-wise. On failure
+/// returns false with *error set and request->id carrying the id whenever
+/// the payload reached offset 8 — structured error correlation, the
+/// binary analogue of RecoverWireId.
 bool ParseRequestPayload(const char* payload, std::size_t len,
                          ServeRequest* request, std::string* error);
 

@@ -332,7 +332,7 @@ Matrix InferenceSession::QueryBatch(
         // bitwise the row an offline Infer sees for the same (widened)
         // feature values — the zero-copy path changes where the bytes
         // come from, never what they are.
-        const float* src = request->feature_view.data;
+        const ServeRequest::FeatureView& src = request->feature_view;
         for (std::size_t j = 0; j < dim; ++j) {
           dst[j] = static_cast<double>(src[j]);
         }

@@ -52,7 +52,9 @@
 #ifndef GCON_SERVE_INFERENCE_SESSION_H_
 #define GCON_SERVE_INFERENCE_SESSION_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -96,10 +98,17 @@ struct ServeRequest {
   std::vector<double> features;
   /// Non-owning view of a little-endian f32 feature payload inside a
   /// binary frame buffer. `data` non-null means the view is authoritative
-  /// and `features` stays empty.
+  /// and `features` stays empty. The payload sits wherever its frame
+  /// landed in the connection's receive buffer, so it has no alignment:
+  /// values are read through operator[], which loads them byte-wise.
   struct FeatureView {
-    const float* data = nullptr;
+    const char* data = nullptr;
     std::uint32_t count = 0;
+    float operator[](std::size_t j) const {
+      float value;
+      std::memcpy(&value, data + 4 * j, sizeof(value));
+      return value;
+    }
   };
   FeatureView feature_view;
   /// Keeps `feature_view`'s frame buffer alive for the request's whole

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <iostream>
 #include <locale>
 #include <memory>
@@ -330,7 +329,7 @@ namespace {
                            std::strerror(errno) + ")");
 }
 
-/// Writes the whole line, SIGPIPE-safe (MSG_NOSIGNAL — a vanished client
+/// Writes the whole buffer, SIGPIPE-safe (MSG_NOSIGNAL — a vanished client
 /// must surface as a return code on this thread, not a process signal).
 /// Returns false when the connection is unusable: the peer went away, or
 /// the send timeout (ServeOptions.io_timeout_ms via SO_SNDTIMEO) expired
@@ -340,7 +339,7 @@ namespace {
 /// start, so the byte stream can tear but never duplicate.
 bool SendAll(int fd, const std::string& data) {
   if (FaultInjector::Global().ShouldFire(Fault::kTornSocket)) {
-    // Chaos site: deliver half the line, then kill the connection — the
+    // Chaos site: deliver half the buffer, then kill the connection — the
     // mid-response client crash. The server side must just close cleanly.
     ::send(fd, data.data(), data.size() / 2, MSG_NOSIGNAL);
     ::shutdown(fd, SHUT_RDWR);
@@ -388,223 +387,27 @@ const TransportMetrics& TransportCounters(int transport) {
   return metrics[static_cast<std::size_t>(transport)];
 }
 
-/// Serves one connection line-by-line. Query lines are pipelined through
-/// QueryAsync (so a burst from one client coalesces into one batch);
-/// responses flush in request order at chunk boundaries and before any
-/// admin/quit/error line, preserving the ordered-wire contract.
-void ServeJsonConnection(InferenceServer* server, int fd) {
-  const TransportMetrics& tm = TransportCounters(obs::kTransportJson);
-  tm.connections->Increment();
-  std::string buffer;
-  struct InFlight {
-    std::int64_t id;
-    std::future<ServeResponse> future;
-    std::shared_ptr<obs::RequestTrace> trace;
-  };
-  std::deque<InFlight> pending;
-  char chunk[4096];
+/// Bytes one recv asks for (at least): a client's whole pipelined burst
+/// arrives in one syscall instead of one per header and payload.
+constexpr std::size_t kReadChunk = std::size_t{64} << 10;
 
-  auto send_line = [&](const std::string& data) -> bool {
-    const bool ok = SendAll(fd, data);
-    if (ok) tm.bytes_out->Increment(data.size());
-    return ok;
-  };
+/// Smallest receive buffer: one read's worth of room past a partial frame.
+constexpr std::size_t kMinReadBuffer = 2 * kReadChunk;
 
-  // Returns false when the socket died mid-flush; the remaining futures
-  // are still drained (the batcher resolves every accepted query — the
-  // responses just have no live reader), then the caller closes.
-  auto flush_pending = [&]() -> bool {
-    bool alive = true;
-    while (!pending.empty()) {
-      try {
-        const ServeResponse response = pending.front().future.get();
-        if (alive) {
-          alive = send_line(FormatWireResponse(response) + "\n");
-        }
-      } catch (const ServeError& e) {
-        // Structured rejection (deadline expired in queue): the coded
-        // line lets a pipelined client tell "retry" from "bug".
-        if (alive) {
-          alive = send_line(FormatWireError(pending.front().id, e.code(),
-                                            e.what()) +
-                            "\n");
-        }
-      } catch (const std::exception& e) {
-        // Batch-handler failure: the error line must still carry the id
-        // the client used, or a pipelined client cannot attribute it.
-        if (alive) {
-          alive = send_line(FormatWireError(pending.front().id, e.what()) +
-                            "\n");
-        }
-      }
-      obs::TraceRecorder::Global().Finish(pending.front().trace);
-      pending.pop_front();
-    }
-    return alive;
-  };
-
-  // A line (or partial line) past the size cap means the client lost
-  // framing — report with whatever id is recoverable, then hang up; there
-  // is no byte to resync on.
-  auto oversized = [&](const std::string& data) {
-    std::int64_t id = 0;
-    RecoverWireId(data, &id);
-    flush_pending();
-    send_line(FormatWireError(
-                  id, "oversized request line (limit " +
-                          std::to_string(kMaxWireLineBytes) + " bytes)") +
-              "\n");
-  };
-
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;  // signal — retry the read
-    // SO_RCVTIMEO expired: the client sent nothing for io_timeout_ms. A
-    // stalled (or vanished-without-FIN) client must not pin this thread
-    // forever, so hang up; anything it already submitted was flushed at
-    // the last chunk boundary.
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n <= 0) break;  // EOF or a dead socket
-    tm.bytes_in->Increment(static_cast<std::uint64_t>(n));
-    buffer.append(chunk, static_cast<std::size_t>(n));
-
-    std::size_t start = 0;
-    for (std::size_t eol = buffer.find('\n', start);
-         eol != std::string::npos; eol = buffer.find('\n', start)) {
-      const std::string line = buffer.substr(start, eol - start);
-      start = eol + 1;
-      if (line.size() > kMaxWireLineBytes) {
-        oversized(line);
-        return;
-      }
-      const std::size_t text_begin = line.find_first_not_of(" \t\r");
-      if (line.empty() || text_begin == std::string::npos) {
-        continue;
-      }
-      // A bare `metrics` line (no JSON) serves the Prometheus exposition,
-      // so `echo metrics | nc host port` scrapes without quoting JSON.
-      const std::size_t text_end = line.find_last_not_of(" \t\r");
-      if (line.compare(text_begin, text_end - text_begin + 1, "metrics") ==
-          0) {
-        flush_pending();
-        send_line(server->MetricsText());
-        continue;
-      }
-      WireCommand command;
-      ServeRequest request;
-      std::string error;
-      if (!ParseWireRequest(line, &command, &request, &error)) {
-        flush_pending();
-        send_line(FormatWireError(request.id, error) + "\n");
-        continue;
-      }
-      if (command == WireCommand::kStats) {
-        flush_pending();
-        send_line(server->StatsJson() + "\n");
-        continue;
-      }
-      if (command == WireCommand::kListModels) {
-        flush_pending();
-        send_line(server->ListModelsJson() + "\n");
-        continue;
-      }
-      if (command == WireCommand::kMetrics) {
-        flush_pending();
-        // Multi-line response; the exposition's trailing "# EOF" line is
-        // the framing sentinel clients read to.
-        send_line(server->MetricsText());
-        continue;
-      }
-      if (command == WireCommand::kTrace) {
-        flush_pending();
-        send_line(obs::TraceRecorder::Global().TracesJson() + "\n");
-        continue;
-      }
-      if (command == WireCommand::kBudget) {
-        flush_pending();
-        send_line(server->BudgetJson() + "\n");
-        continue;
-      }
-      if (command == WireCommand::kPublish) {
-        flush_pending();
-        try {
-          send_line(server->PublishFromFile(request.model, request.path) +
-                    "\n");
-        } catch (const ServeError& e) {
-          // Coded refusal (budget_exhausted): the client can tell "the
-          // cap is spent" from "bad path" without parsing prose.
-          send_line(FormatWireError(request.id, e.code(), e.what()) + "\n");
-        } catch (const std::exception& e) {
-          send_line(FormatWireError(request.id, e.what()) + "\n");
-        }
-        continue;
-      }
-      if (command == WireCommand::kDrain) {
-        flush_pending();
-        server->BeginDrain();
-        send_line("{\"draining\": true}\n");
-        continue;
-      }
-      if (command == WireCommand::kQuit) {
-        flush_pending();
-        return;
-      }
-      request.trace = obs::TraceRecorder::Global().MaybeStart(
-          request.id, obs::kTransportJson);
-      try {
-        const std::int64_t id = request.id;
-        auto trace = request.trace;
-        pending.push_back(
-            {id, server->QueryAsync(std::move(request)), std::move(trace)});
-      } catch (const ServeError& e) {
-        // Admission rejection (overloaded / draining): coded, fail-fast —
-        // the client learns to back off instead of hanging.
-        flush_pending();
-        send_line(FormatWireError(request.id, e.code(), e.what()) + "\n");
-      } catch (const std::exception& e) {
-        flush_pending();
-        send_line(FormatWireError(request.id, e.what()) + "\n");
-      }
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > kMaxWireLineBytes) {
-      oversized(buffer);
-      return;
-    }
-    if (!flush_pending()) break;  // socket died mid-response; stop reading
-  }
-  // Accepted queries still in flight resolve before the thread exits —
-  // their client is gone, but the batcher contract (every future resolves)
-  // and the per-model counters stay truthful.
-  flush_pending();
-}
-
-/// Reads exactly `want` bytes. False on EOF, a dead socket, or an expired
-/// SO_RCVTIMEO (a stalled client mustn't pin the thread — same policy as
-/// the JSON loop).
-bool RecvAll(int fd, char* dst, std::size_t want) {
-  std::size_t got = 0;
-  while (got < want) {
-    const ssize_t n = ::recv(fd, dst + got, want - got, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Per-connection pool of frame payload buffers. Zero-copy pins
-/// (ServeRequest::frame_pin) keep a buffer's use_count above 1 for as long
-/// as any in-flight query views it; Take() reuses only buffers whose every
-/// pin has been released, so a recycled buffer can never be overwritten
-/// under a pending batch. Bounded: a pipelining client cycles through at
-/// most kPoolSize resident buffers before new frames allocate afresh.
+/// Per-connection pool of receive buffers. A query whose feature view
+/// aliases a buffer holds it (ServeRequest::frame_pin, and the connection's
+/// in-flight entry until its answer is resolved), keeping its use_count
+/// above 1; Take() hands out only buffers nothing else holds, so a
+/// recycled buffer is never refilled under a pending batch. Bounded: a
+/// pipelining client cycles through at most kPoolSize resident buffers
+/// before further reads allocate afresh.
 class FramePool {
  public:
+  /// A buffer of at least `size` bytes that no query and no reader holds.
   std::shared_ptr<std::vector<char>> Take(std::size_t size) {
     for (auto& buffer : pool_) {
       if (buffer.use_count() == 1) {
-        buffer->resize(size);
+        if (buffer->size() < size) buffer->resize(size);
         return buffer;
       }
     }
@@ -618,201 +421,469 @@ class FramePool {
   std::vector<std::shared_ptr<std::vector<char>>> pool_;
 };
 
-/// Serves one binary-framed connection (serve/frame.h). Mirrors the JSON
-/// loop's discipline — pipelined QueryAsync, responses flushed in request
-/// order before any admin/error frame and whenever the client has nothing
-/// more buffered — but the request path is zero-copy: each frame payload
-/// lands in a pooled buffer, the parsed request's feature view points into
-/// it, and the buffer stays pinned until the query's batch resolves.
-void ServeBinaryConnection(InferenceServer* server, int fd) {
-  const TransportMetrics& tm = TransportCounters(obs::kTransportBinary);
-  tm.connections->Increment();
-  auto send_frame = [&](const std::string& data) -> bool {
-    const bool ok = SendAll(fd, data);
-    if (ok) tm.bytes_out->Increment(data.size());
-    return ok;
-  };
+/// The receive side of a connection, shared by both transports. Each recv
+/// appends up to (at least) kReadChunk bytes to a FramePool buffer, and
+/// the connection loop parses every complete frame or line in place from
+/// data()/size() before reading again. Only a partial frame at the end of
+/// a full buffer is ever copied — to the front of a fresh, unpinned one;
+/// the bytes a query's feature view points at never move.
+class ConnectionReader {
+ public:
+  enum class Status { kData, kWouldBlock, kClosed };
 
-  // Hello handshake: validate the client's magic+version, answer with the
-  // negotiated version (min of the two — a newer client speaks our dialect,
-  // an older server never has to).
-  char hello[kFrameHelloBytes];
-  if (!RecvAll(fd, hello, sizeof(hello))) return;
-  tm.bytes_in->Increment(sizeof(hello));
-  std::uint16_t client_version = 0;
-  std::string error;
-  if (!ParseHello(hello, sizeof(hello), &client_version, &error)) {
-    send_frame(EncodeErrorFrame(
-        0, WireErrorCode(ServeErrorCode::kMalformedFrame), error));
-    return;
+  ConnectionReader(int fd, obs::Counter* bytes_in)
+      : fd_(fd), bytes_in_(bytes_in), buffer_(pool_.Take(kMinReadBuffer)) {}
+
+  /// The received, not yet consumed bytes.
+  const char* data() const { return buffer_->data() + begin_; }
+  std::size_t size() const { return end_ - begin_; }
+  void Consume(std::size_t n) { begin_ += n; }
+
+  /// Holds the current buffer (and keeps it out of the pool's hands) for
+  /// as long as the returned pointer lives; `at` must point into data().
+  std::shared_ptr<const void> Pin(const char* at) const {
+    return std::shared_ptr<const void>(buffer_, at);
   }
-  const std::uint16_t version = std::min(client_version, kFrameVersion);
-  if (!send_frame(EncodeHello(version))) return;
 
+  /// One recv appended to data(). The buffer first gets room for `want`
+  /// unconsumed bytes plus a full read — so a payload larger than what is
+  /// buffered is received straight into the buffer it will be parsed (and
+  /// pinned) in. kWouldBlock only when !block and nothing is waiting;
+  /// kClosed on EOF, a dead socket, or an expired SO_RCVTIMEO.
+  Status Read(std::size_t want, bool block) {
+    const std::size_t held = size();
+    const std::size_t capacity = buffer_->size();
+    if (capacity - end_ < kReadChunk || capacity - begin_ < want) {
+      auto next =
+          pool_.Take(std::max(kMinReadBuffer, 2 * std::max(want, held)));
+      std::memcpy(next->data(), data(), held);
+      buffer_ = std::move(next);
+      begin_ = 0;
+      end_ = held;
+    }
+    const std::size_t ask = std::max(kReadChunk, want > held ? want - held : 0);
+    for (;;) {
+      const ssize_t n = ::recv(fd_, buffer_->data() + end_, ask,
+                               block ? 0 : MSG_DONTWAIT);
+      if (n > 0) {
+        end_ += static_cast<std::size_t>(n);
+        bytes_in_->Increment(static_cast<std::uint64_t>(n));
+        return Status::kData;
+      }
+      if (n < 0 && errno == EINTR) continue;  // signal — retry the read
+      if (n < 0 && !block && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        return Status::kWouldBlock;
+      }
+      return Status::kClosed;
+    }
+  }
+
+ private:
+  int fd_;
+  obs::Counter* bytes_in_;
+  FramePool pool_;
+  std::shared_ptr<std::vector<char>> buffer_;
+  std::size_t begin_ = 0;  ///< first unconsumed byte in *buffer_
+  std::size_t end_ = 0;    ///< one past the last received byte
+};
+
+/// Reply encodings of the newline-JSON transport (serve/wire.h).
+struct JsonCodec {
+  static constexpr int kTransport = obs::kTransportJson;
+  static void AppendAnswer(std::string* out, const ServeResponse& response) {
+    out->append(FormatWireResponse(response)).push_back('\n');
+  }
+  /// A ServeError crosses as its coded line, so a client can tell "retry"
+  /// from "bug"; anything else as prose, still carrying the client's id.
+  static void AppendError(std::string* out, std::int64_t id,
+                          const std::exception& e) {
+    const auto* coded = dynamic_cast<const ServeError*>(&e);
+    out->append(coded != nullptr ? FormatWireError(id, coded->code(), e.what())
+                                 : FormatWireError(id, e.what()))
+        .push_back('\n');
+  }
+};
+
+/// Reply encodings of the binary frame transport (serve/frame.h).
+struct BinaryCodec {
+  static constexpr int kTransport = obs::kTransportBinary;
+  static void AppendAnswer(std::string* out, const ServeResponse& response) {
+    out->append(EncodeResponseFrame(response));
+  }
+  static void AppendError(std::string* out, std::int64_t id,
+                          const std::exception& e) {
+    const auto* coded = dynamic_cast<const ServeError*>(&e);
+    out->append(EncodeErrorFrame(
+        id, coded != nullptr ? WireErrorCode(coded->code()) : 0, e.what()));
+  }
+};
+
+/// One connection's I/O, shared by both transports: the buffered reader,
+/// the queries in flight, and one output buffer that every reply is
+/// appended to — answers, error replies, admin replies — in request order.
+/// The output goes out in one SendAll whenever the loop would block on a
+/// read (so answers flush when the client has nothing more buffered, while
+/// a mid-burst client keeps coalescing into the current batch window),
+/// once 64 KB of replies have piled up, and when the connection ends.
+template <typename Codec>
+class Connection {
+ public:
+  Connection(InferenceServer* server, int fd)
+      : server_(server),
+        fd_(fd),
+        metrics_(TransportCounters(Codec::kTransport)),
+        in_(fd, metrics_.bytes_in) {
+    metrics_.connections->Increment();
+  }
+
+  InferenceServer* server() const { return server_; }
+  ConnectionReader& in() { return in_; }
+  /// Replies leave in the order they are appended: call Resolve() (or
+  /// Flush()) before appending anything that must follow earlier answers.
+  std::string& out() { return out_; }
+
+  /// Pipelines one parsed query through the batcher. An admission
+  /// rejection (overloaded / draining / unknown model) is answered at
+  /// once, after every earlier answer.
+  void Submit(ServeRequest request) {
+    request.trace =
+        obs::TraceRecorder::Global().MaybeStart(request.id, Codec::kTransport);
+    InFlight query{request.id, {}, request.trace, request.frame_pin};
+    try {
+      query.future = server_->QueryAsync(std::move(request));
+    } catch (const std::exception& e) {
+      Resolve();
+      Codec::AppendError(&out_, query.id, e);
+      return;
+    }
+    pending_.push_back(std::move(query));
+  }
+
+  /// Waits for every query in flight and appends its answer (or coded
+  /// rejection) in request order. Resolved queries release their buffers.
+  void Resolve() {
+    for (InFlight& query : pending_) {
+      try {
+        Codec::AppendAnswer(&out_, query.future.get());
+      } catch (const std::exception& e) {
+        Codec::AppendError(&out_, query.id, e);
+      }
+      if (query.trace != nullptr) unsent_.push_back(std::move(query.trace));
+    }
+    pending_.clear();
+  }
+
+  /// Resolve(), then the whole output in one SendAll. Returns false once
+  /// the socket has died; later calls still resolve every accepted query
+  /// (the batcher contract: every future resolves) and drop the bytes.
+  bool Flush() {
+    Resolve();
+    if (!out_.empty()) {
+      if (alive_) {
+        alive_ = SendAll(fd_, out_);
+        if (alive_) metrics_.bytes_out->Increment(out_.size());
+      }
+      out_.clear();
+    }
+    for (const auto& trace : unsent_) {
+      obs::TraceRecorder::Global().Finish(trace);
+    }
+    unsent_.clear();
+    return alive_;
+  }
+
+  /// Reads more bytes, making room for `want` unconsumed ones. Anything
+  /// owed to the client goes out first if the read would block. False
+  /// when the connection is over: EOF, a dead socket, an expired
+  /// SO_RCVTIMEO, or a send side that died in the flush.
+  bool Read(std::size_t want) {
+    if (!pending_.empty() || !out_.empty()) {
+      if (out_.size() < kReadChunk) {
+        const ConnectionReader::Status status = in_.Read(want, false);
+        if (status != ConnectionReader::Status::kWouldBlock) {
+          return status == ConnectionReader::Status::kData;
+        }
+      }
+      if (!Flush()) return false;
+    }
+    return in_.Read(want, true) == ConnectionReader::Status::kData;
+  }
+
+ private:
   struct InFlight {
     std::int64_t id;
     std::future<ServeResponse> future;
     std::shared_ptr<obs::RequestTrace> trace;
-  };
-  std::deque<InFlight> pending;
-
-  auto flush_pending = [&]() -> bool {
-    bool alive = true;
-    while (!pending.empty()) {
-      try {
-        const ServeResponse response = pending.front().future.get();
-        if (alive) alive = send_frame(EncodeResponseFrame(response));
-      } catch (const ServeError& e) {
-        if (alive) {
-          alive = send_frame(EncodeErrorFrame(pending.front().id,
-                                              WireErrorCode(e.code()),
-                                              e.what()));
-        }
-      } catch (const std::exception& e) {
-        if (alive) {
-          alive = send_frame(
-              EncodeErrorFrame(pending.front().id, 0, e.what()));
-        }
-      }
-      obs::TraceRecorder::Global().Finish(pending.front().trace);
-      pending.pop_front();
-    }
-    return alive;
+    /// The receive buffer the query's feature view aliases, if any: held
+    /// until the answer is resolved, so the buffer is refilled only after
+    /// the future's handoff orders the batch's reads before the refill.
+    std::shared_ptr<const void> pin;
   };
 
-  FramePool pool;
-  const std::uint32_t malformed =
-      WireErrorCode(ServeErrorCode::kMalformedFrame);
+  InferenceServer* server_;
+  int fd_;
+  const TransportMetrics& metrics_;
+  ConnectionReader in_;
+  std::vector<InFlight> pending_;
+  std::string out_;
+  /// Sampled traces of resolved answers, finished once their bytes left.
+  std::vector<std::shared_ptr<obs::RequestTrace>> unsent_;
+  bool alive_ = true;
+};
+
+/// Serves newline-JSON lines until the client quits, hangs up or loses
+/// framing. Every complete line in the buffer is handled before the next
+/// read; query lines pipeline through QueryAsync (so a burst from one
+/// client coalesces into one batch) and everything else is answered in
+/// request order after the queries before it.
+void ServeJsonLines(Connection<JsonCodec>* conn) {
+  InferenceServer* server = conn->server();
+  ConnectionReader& in = conn->in();
+  std::string& out = conn->out();
+
+  // A line (or partial line) past the size cap means the client lost
+  // framing — report with whatever id is recoverable, then hang up; there
+  // is no byte to resync on.
+  auto oversized = [&](const std::string& data) {
+    std::int64_t id = 0;
+    RecoverWireId(data, &id);
+    conn->Resolve();
+    out += FormatWireError(id, "oversized request line (limit " +
+                                   std::to_string(kMaxWireLineBytes) +
+                                   " bytes)") +
+           "\n";
+  };
+
   for (;;) {
-    // Before blocking on the next header, flush accepted work if the
-    // client has nothing more buffered — a pipelining client that is now
-    // waiting for answers must get them, while a mid-burst client keeps
-    // coalescing into the current batch window.
-    if (!pending.empty()) {
-      char probe;
-      const ssize_t n = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-      if (n == 0) break;  // EOF
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          if (!flush_pending()) break;
-        } else if (errno != EINTR) {
-          break;
-        }
+    for (;;) {
+      const char* eol =
+          static_cast<const char*>(std::memchr(in.data(), '\n', in.size()));
+      if (eol == nullptr) break;
+      const std::string line(in.data(), eol);
+      in.Consume(line.size() + 1);
+      if (line.size() > kMaxWireLineBytes) {
+        oversized(line);
+        return;
       }
-    }
-
-    char header[kFrameHeaderBytes];
-    if (!RecvAll(fd, header, sizeof(header))) break;
-    tm.bytes_in->Increment(sizeof(header));
-    FrameType type;
-    std::uint32_t payload_len = 0;
-    if (!ParseFrameHeader(header, &type, &payload_len, &error)) {
-      // Hostile length or unknown type: framing is lost (or the peer
-      // speaks a future dialect) — report and hang up, nothing to resync.
-      flush_pending();
-      send_frame(EncodeErrorFrame(0, malformed, error));
-      return;
-    }
-    const std::shared_ptr<std::vector<char>> buffer = pool.Take(payload_len);
-    if (payload_len > 0) {
-      if (!RecvAll(fd, buffer->data(), payload_len)) break;
-      tm.bytes_in->Increment(payload_len);
-    }
-
-    if (type == FrameType::kRequest) {
+      const std::size_t text_begin = line.find_first_not_of(" \t\r");
+      if (line.empty() || text_begin == std::string::npos) {
+        continue;
+      }
+      // A bare `metrics` line (no JSON) serves the Prometheus exposition,
+      // so `echo metrics | nc host port` scrapes without quoting JSON.
+      const std::size_t text_end = line.find_last_not_of(" \t\r");
+      if (line.compare(text_begin, text_end - text_begin + 1, "metrics") ==
+          0) {
+        conn->Flush();
+        out += server->MetricsText();
+        continue;
+      }
+      WireCommand command;
       ServeRequest request;
-      if (!ParseRequestPayload(buffer->data(), payload_len, &request,
-                               &error)) {
-        // Payload defect with framing intact: coded error (with whatever
-        // id offset 0..7 yielded), keep serving — the binary analogue of a
-        // malformed JSON line.
-        flush_pending();
-        send_frame(EncodeErrorFrame(request.id, malformed, error));
+      std::string error;
+      if (!ParseWireRequest(line, &command, &request, &error)) {
+        conn->Resolve();
+        out += FormatWireError(request.id, error) + "\n";
         continue;
       }
-      // Pin the frame buffer for the request's lifetime: the feature view
-      // aliases it, and the batcher may not run the GEMM until long after
-      // the next frame overwrites... nothing — Take() skips pinned
-      // buffers, so the gather always reads the bytes this frame carried.
-      request.frame_pin =
-          std::shared_ptr<const void>(buffer, buffer->data());
-      request.trace = obs::TraceRecorder::Global().MaybeStart(
-          request.id, obs::kTransportBinary);
-      const std::int64_t id = request.id;
-      auto trace = request.trace;
-      try {
-        pending.push_back(
-            {id, server->QueryAsync(std::move(request)), std::move(trace)});
-      } catch (const ServeError& e) {
-        flush_pending();
-        send_frame(EncodeErrorFrame(id, WireErrorCode(e.code()), e.what()));
-      } catch (const std::exception& e) {
-        flush_pending();
-        send_frame(EncodeErrorFrame(id, 0, e.what()));
-      }
-      continue;
-    }
-    if (type == FrameType::kAdmin) {
-      AdminVerb verb;
-      std::string model, path;
-      if (!ParseAdminPayload(buffer->data(), payload_len, &verb, &model,
-                             &path, &error)) {
-        flush_pending();
-        send_frame(EncodeErrorFrame(0, malformed, error));
+      if (command == WireCommand::kQuery) {
+        conn->Submit(std::move(request));
         continue;
       }
-      flush_pending();
-      switch (verb) {
-        case AdminVerb::kStats:
-          send_frame(EncodeAdminReplyFrame(server->StatsJson()));
+      if (command == WireCommand::kQuit) return;
+      // Admin verbs see (and, like the queries' answers, reach the client
+      // after) every query accepted before them.
+      conn->Flush();
+      switch (command) {
+        case WireCommand::kStats:
+          out += server->StatsJson() + "\n";
           break;
-        case AdminVerb::kListModels:
-          send_frame(EncodeAdminReplyFrame(server->ListModelsJson()));
+        case WireCommand::kListModels:
+          out += server->ListModelsJson() + "\n";
           break;
-        case AdminVerb::kMetrics:
-          // Reply payload is the Prometheus text exposition, byte-for-byte
-          // the JSON transport's answer (one exposition, two framings).
-          send_frame(EncodeAdminReplyFrame(server->MetricsText()));
+        case WireCommand::kMetrics:
+          // Multi-line response; the exposition's trailing "# EOF" line is
+          // the framing sentinel clients read to.
+          out += server->MetricsText();
           break;
-        case AdminVerb::kTrace:
-          send_frame(EncodeAdminReplyFrame(
-              obs::TraceRecorder::Global().TracesJson()));
+        case WireCommand::kTrace:
+          out += obs::TraceRecorder::Global().TracesJson() + "\n";
           break;
-        case AdminVerb::kPublish:
+        case WireCommand::kBudget:
+          out += server->BudgetJson() + "\n";
+          break;
+        case WireCommand::kPublish:
           try {
-            send_frame(EncodeAdminReplyFrame(
-                server->PublishFromFile(model, path)));
-          } catch (const ServeError& e) {
-            // Coded refusal — budget_exhausted crosses the binary
-            // transport as its fixed integer, like every other code.
-            send_frame(
-                EncodeErrorFrame(0, WireErrorCode(e.code()), e.what()));
+            out += server->PublishFromFile(request.model, request.path) + "\n";
           } catch (const std::exception& e) {
-            send_frame(EncodeErrorFrame(0, 0, e.what()));
+            // Coded refusal (budget_exhausted): the client can tell "the
+            // cap is spent" from "bad path" without parsing prose.
+            JsonCodec::AppendError(&out, request.id, e);
           }
           break;
-        case AdminVerb::kBudget:
-          send_frame(EncodeAdminReplyFrame(server->BudgetJson()));
-          break;
-        case AdminVerb::kDrain:
+        case WireCommand::kDrain:
           server->BeginDrain();
-          send_frame(EncodeAdminReplyFrame("{\"draining\": true}"));
+          out += "{\"draining\": true}\n";
           break;
-        case AdminVerb::kQuit:
-          return;
+        case WireCommand::kQuery:
+        case WireCommand::kQuit:
+          break;  // handled above
       }
-      continue;
     }
-    // A server-to-client frame type arriving at the server is a protocol
-    // violation, not a recoverable payload defect — hang up.
-    flush_pending();
-    send_frame(EncodeErrorFrame(
-        0, malformed,
-        "unexpected frame type (clients send requests and "
-        "admin frames only)"));
+    if (in.size() > kMaxWireLineBytes) {
+      oversized(std::string(in.data(), in.size()));
+      return;
+    }
+    if (!conn->Read(in.size() + 1)) return;
+  }
+}
+
+/// Serves one newline-JSON connection; whatever is owed to the client when
+/// the line loop ends (answers to queries accepted before EOF, quit, a
+/// timeout or an oversized line) goes out before the thread returns.
+void ServeJsonConnection(InferenceServer* server, int fd) {
+  Connection<JsonCodec> conn(server, fd);
+  ServeJsonLines(&conn);
+  conn.Flush();
+}
+
+/// Handles one complete binary frame whose payload lies in the
+/// connection's receive buffer. Returns false to hang up.
+bool ServeFrame(Connection<BinaryCodec>* conn, FrameType type,
+                const char* payload, std::uint32_t len) {
+  InferenceServer* server = conn->server();
+  std::string& out = conn->out();
+  const std::uint32_t malformed =
+      WireErrorCode(ServeErrorCode::kMalformedFrame);
+  std::string error;
+  if (type == FrameType::kRequest) {
+    ServeRequest request;
+    if (!ParseRequestPayload(payload, len, &request, &error)) {
+      // Payload defect with framing intact: coded error (with whatever id
+      // offset 0..7 yielded), keep serving — the binary analogue of a
+      // malformed JSON line.
+      conn->Resolve();
+      out += EncodeErrorFrame(request.id, malformed, error);
+      return true;
+    }
+    // Zero-copy: the feature view points into the receive buffer, which
+    // the pin keeps alive and unrecycled until the query's batch has read
+    // it and its answer is resolved.
+    if (request.feature_view.data != nullptr) {
+      request.frame_pin = conn->in().Pin(payload);
+    }
+    conn->Submit(std::move(request));
+    return true;
+  }
+  if (type == FrameType::kAdmin) {
+    AdminVerb verb;
+    std::string model, path;
+    if (!ParseAdminPayload(payload, len, &verb, &model, &path, &error)) {
+      conn->Resolve();
+      out += EncodeErrorFrame(0, malformed, error);
+      return true;
+    }
+    conn->Flush();
+    switch (verb) {
+      case AdminVerb::kStats:
+        out += EncodeAdminReplyFrame(server->StatsJson());
+        break;
+      case AdminVerb::kListModels:
+        out += EncodeAdminReplyFrame(server->ListModelsJson());
+        break;
+      case AdminVerb::kMetrics:
+        // Reply payload is the Prometheus text exposition, byte-for-byte
+        // the JSON transport's answer (one exposition, two framings).
+        out += EncodeAdminReplyFrame(server->MetricsText());
+        break;
+      case AdminVerb::kTrace:
+        out += EncodeAdminReplyFrame(obs::TraceRecorder::Global().TracesJson());
+        break;
+      case AdminVerb::kPublish:
+        try {
+          out += EncodeAdminReplyFrame(server->PublishFromFile(model, path));
+        } catch (const std::exception& e) {
+          // Coded refusal — budget_exhausted crosses the binary transport
+          // as its fixed integer, like every other code.
+          BinaryCodec::AppendError(&out, 0, e);
+        }
+        break;
+      case AdminVerb::kBudget:
+        out += EncodeAdminReplyFrame(server->BudgetJson());
+        break;
+      case AdminVerb::kDrain:
+        server->BeginDrain();
+        out += EncodeAdminReplyFrame("{\"draining\": true}");
+        break;
+      case AdminVerb::kQuit:
+        return false;
+    }
+    return true;
+  }
+  // A server-to-client frame type arriving at the server is a protocol
+  // violation, not a recoverable payload defect — hang up.
+  conn->Resolve();
+  out += EncodeErrorFrame(0, malformed,
+                          "unexpected frame type (clients send requests and "
+                          "admin frames only)");
+  return false;
+}
+
+/// Serves binary frames (serve/frame.h) until the client quits, hangs up
+/// or breaks framing: the hello handshake, then every complete frame in
+/// the receive buffer parsed in place before the next read. The request
+/// path is zero-copy — a feature-carrying request's view points into the
+/// receive buffer, which stays pinned until the query's answer resolves.
+void ServeBinaryFrames(Connection<BinaryCodec>* conn) {
+  ConnectionReader& in = conn->in();
+  std::string& out = conn->out();
+  const std::uint32_t malformed =
+      WireErrorCode(ServeErrorCode::kMalformedFrame);
+
+  // Hello handshake: validate the client's magic+version, answer with the
+  // negotiated version (min of the two — a newer client speaks our dialect,
+  // an older server never has to). Frames may share the hello's segment.
+  while (in.size() < kFrameHelloBytes) {
+    if (!conn->Read(kFrameHelloBytes)) return;
+  }
+  std::uint16_t client_version = 0;
+  std::string error;
+  if (!ParseHello(in.data(), kFrameHelloBytes, &client_version, &error)) {
+    out += EncodeErrorFrame(0, malformed, error);
     return;
   }
-  flush_pending();
+  in.Consume(kFrameHelloBytes);
+  out += EncodeHello(std::min(client_version, kFrameVersion));
+
+  for (;;) {
+    std::size_t want = kFrameHeaderBytes;
+    while (in.size() >= kFrameHeaderBytes) {
+      FrameType type;
+      std::uint32_t payload_len = 0;
+      if (!ParseFrameHeader(in.data(), &type, &payload_len, &error)) {
+        // Hostile length or unknown type: framing is lost (or the peer
+        // speaks a future dialect) — report and hang up, nothing to resync.
+        conn->Resolve();
+        out += EncodeErrorFrame(0, malformed, error);
+        return;
+      }
+      want = kFrameHeaderBytes + payload_len;
+      if (in.size() < want) break;
+      const char* payload = in.data() + kFrameHeaderBytes;
+      in.Consume(want);
+      want = kFrameHeaderBytes;
+      if (!ServeFrame(conn, type, payload, payload_len)) return;
+    }
+    if (!conn->Read(want)) return;
+  }
+}
+
+/// Serves one binary-framed connection; answers owed when the frame loop
+/// ends go out before the thread returns.
+void ServeBinaryConnection(InferenceServer* server, int fd) {
+  Connection<BinaryCodec> conn(server, fd);
+  ServeBinaryFrames(&conn);
+  conn.Flush();
 }
 
 /// Transport dispatch: peek the first byte without consuming it. A binary

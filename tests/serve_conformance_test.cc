@@ -13,7 +13,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -77,6 +79,26 @@ class WireClient {
     }
   }
   void SendLine(const std::string& line) { Send(line + "\n"); }
+
+  /// Sends `data` one byte per send(), with Nagle off so the bytes leave
+  /// as separate segments: the server sees every possible split point.
+  void SendBytewise(const std::string& data) {
+    const int one = 1;
+    ASSERT_EQ(::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)),
+              0);
+    for (char byte : data) Send(std::string(1, byte));
+  }
+
+  /// Bounds every later read: a server that withholds an answer fails the
+  /// test (an empty line) instead of hanging it.
+  void SetRecvTimeout(int ms) {
+    timeval timeout{};
+    timeout.tv_sec = ms / 1000;
+    timeout.tv_usec = (ms % 1000) * 1000;
+    ASSERT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+  }
 
   /// Next response line (without the newline); "" on EOF.
   std::string ReadLine() {
@@ -144,6 +166,25 @@ std::string GoldenResponse(std::int64_t id, int node, const Matrix& logits,
   return FormatWireResponse(response);
 }
 
+/// A feature-carrying query line whose numbers round-trip exactly (17
+/// significant digits, locale-independent).
+std::string InductiveLine(std::int64_t id, const std::vector<double>& features,
+                          const std::vector<int>& edges) {
+  std::ostringstream line;
+  line.imbue(std::locale::classic());
+  line.precision(17);
+  line << "{\"id\": " << id << ", \"features\": [";
+  for (std::size_t j = 0; j < features.size(); ++j) {
+    line << (j == 0 ? "" : ", ") << features[j];
+  }
+  line << "], \"edges\": [";
+  for (std::size_t j = 0; j < edges.size(); ++j) {
+    line << (j == 0 ? "" : ", ") << edges[j];
+  }
+  line << "]}";
+  return line.str();
+}
+
 /// Server fixture: two synthetic models ("default", "alt") over the tiny
 /// graph behind the real TCP front end on an ephemeral port.
 class ServeConformanceTest : public ::testing::Test {
@@ -182,6 +223,61 @@ class ServeConformanceTest : public ::testing::Test {
   }
 
   int port() const { return port_.load(std::memory_order_acquire); }
+
+  /// A pipeline of every query shape — node, routed, private-edge,
+  /// inductive, node — as request lines and the exact lines that answer
+  /// them, each derived from offline bits (QueryLogits for the
+  /// private-edge query, as in ValidQueriesMatchOfflineGoldens).
+  struct Pipeline {
+    std::vector<std::string> lines;
+    std::vector<std::string> answers;
+    std::string requests() const {
+      std::string all;
+      for (const std::string& line : lines) all += line + "\n";
+      return all;
+    }
+  };
+  Pipeline MixedPipeline(std::int64_t first_id) const {
+    Pipeline p;
+    const std::int64_t id = first_id;
+    const std::string ids[5] = {std::to_string(id), std::to_string(id + 1),
+                                std::to_string(id + 2), std::to_string(id + 3),
+                                std::to_string(id + 4)};
+    p.lines.push_back("{\"id\": " + ids[0] + ", \"node\": 3}");
+    p.answers.push_back(GoldenResponse(id, 3, offline_default_, 3));
+    p.lines.push_back("{\"id\": " + ids[1] +
+                      ", \"model\": \"alt\", \"node\": 12}");
+    p.answers.push_back(GoldenResponse(id + 1, 12, offline_alt_, 12));
+
+    ServeRequest edges;
+    edges.node = 7;
+    edges.has_edges = true;
+    edges.edges = {2, 9, 40};
+    ServeResponse edge_answer;
+    edge_answer.id = id + 2;
+    edge_answer.node = 7;
+    edge_answer.logits =
+        InferenceSession(*default_artifact_, graph_).QueryLogits(edges);
+    edge_answer.label = static_cast<int>(
+        std::max_element(edge_answer.logits.begin(),
+                         edge_answer.logits.end()) -
+        edge_answer.logits.begin());
+    p.lines.push_back("{\"id\": " + ids[2] +
+                      ", \"node\": 7, \"edges\": [2, 9, 40]}");
+    p.answers.push_back(FormatWireResponse(edge_answer));
+
+    const std::vector<double> features = graph_.features().RowCopy(6);
+    const std::vector<int> new_edges = {1, 30};
+    p.lines.push_back(InductiveLine(id + 3, features, new_edges));
+    p.answers.push_back(GoldenResponse(
+        id + 3, -1,
+        default_artifact_->Infer(AugmentGraph(graph_, features, new_edges)),
+        static_cast<std::size_t>(graph_.num_nodes())));
+
+    p.lines.push_back("{\"id\": " + ids[4] + ", \"node\": 3}");
+    p.answers.push_back(GoldenResponse(id + 4, 3, offline_default_, 3));
+    return p;
+  }
 
   Graph graph_;
   std::optional<GconArtifact> default_artifact_;
@@ -384,6 +480,83 @@ TEST_F(ServeConformanceTest, PipelinedErrorFlushesAfterEarlierResponses) {
   EXPECT_EQ(client.ReadLine(),
             "{\"id\": 41, \"error\": \"unknown key 'nodes' (want id, node, "
             "edges, features, model, deadline_us, path, or cmd)\"}");
+}
+
+// --- Byte boundaries ---------------------------------------------------------
+// The server reads whatever the socket holds and handles every complete line
+// in it, so the bytes must not depend on where the client's writes split.
+
+TEST_F(ServeConformanceTest, BytePerSendPipelineMatchesGoldens) {
+  const Pipeline pipeline = MixedPipeline(600);
+  WireClient client(port());
+  client.SetRecvTimeout(10000);
+  client.SendBytewise(pipeline.requests());
+  for (const std::string& answer : pipeline.answers) {
+    EXPECT_EQ(client.ReadLine(), answer);
+  }
+}
+
+TEST_F(ServeConformanceTest, OneSendPipelineMatchesGoldens) {
+  const Pipeline pipeline = MixedPipeline(610);
+  WireClient client(port());
+  client.SetRecvTimeout(10000);
+  client.Send(pipeline.requests());
+  for (const std::string& answer : pipeline.answers) {
+    EXPECT_EQ(client.ReadLine(), answer);
+  }
+}
+
+TEST_F(ServeConformanceTest, SeparateQueriesAreAnsweredWithoutMoreTraffic) {
+  // k queries in k writes, then silence: all k answers must arrive without
+  // the client sending another byte.
+  const Pipeline pipeline = MixedPipeline(620);
+  WireClient client(port());
+  client.SetRecvTimeout(10000);
+  for (const std::string& line : pipeline.lines) {
+    client.SendLine(line);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  for (const std::string& answer : pipeline.answers) {
+    EXPECT_EQ(client.ReadLine(), answer);
+  }
+}
+
+TEST(ServeWideConformance, FeatureLineLargerThanOneReadMatchesOffline) {
+  // 20000 dense features at 17 digits: a ~450 KB line, several socket
+  // reads. It is sent around node queries, in two writes that split it, so
+  // the server holds a partial line across reads.
+  const Graph graph = serve_test::WideTestGraph(20000);
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 3);
+  const Matrix offline_graph = artifact.Infer(graph);
+  std::vector<ModelRouter::NamedModel> models;
+  models.push_back({"default", InferenceSession(artifact, graph)});
+  ServeOptions options;
+  options.threads = 2;
+  serve_test::TcpServerHarness server(std::move(models), options);
+
+  std::vector<double> features(static_cast<std::size_t>(graph.feature_dim()));
+  Rng rng(7);
+  for (double& value : features) value = rng.Uniform(-1.0, 1.0);
+  const std::vector<int> edges = {0, 7, 11};
+  const Matrix offline =
+      artifact.Infer(AugmentGraph(graph, features, edges));
+  const std::string big = InductiveLine(2, features, edges);
+  ASSERT_GT(big.size(), std::size_t{200000});
+  ASSERT_LT(big.size(), kMaxWireLineBytes);
+  const std::string stream = "{\"id\": 1, \"node\": 9}\n" + big +
+                             "\n{\"id\": 3, \"node\": 9}\n";
+  const std::size_t split = stream.size() / 2;
+
+  WireClient client(server.port());
+  client.SetRecvTimeout(10000);
+  client.Send(stream.substr(0, split));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  client.Send(stream.substr(split));
+  EXPECT_EQ(client.ReadLine(), GoldenResponse(1, 9, offline_graph, 9));
+  EXPECT_EQ(client.ReadLine(),
+            GoldenResponse(2, -1, offline,
+                           static_cast<std::size_t>(graph.num_nodes())));
+  EXPECT_EQ(client.ReadLine(), GoldenResponse(3, 9, offline_graph, 9));
 }
 
 TEST_F(ServeConformanceTest, OversizedLineGetsErrorAndDisconnect) {

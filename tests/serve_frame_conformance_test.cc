@@ -15,7 +15,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -77,12 +79,35 @@ class FrameClient {
     }
   }
 
+  /// Sends `data` one byte per send(), with Nagle off so the bytes leave
+  /// as separate segments: the server sees every possible split point.
+  void SendBytewise(const std::string& data) {
+    const int one = 1;
+    ASSERT_EQ(::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)),
+              0);
+    for (char byte : data) Send(std::string(1, byte));
+  }
+
+  /// Bounds every later read: a server that withholds an answer fails the
+  /// test (a short read) instead of hanging it.
+  void SetRecvTimeout(int ms) {
+    timeval timeout{};
+    timeout.tv_sec = ms / 1000;
+    timeout.tv_usec = (ms % 1000) * 1000;
+    ASSERT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+  }
+
   /// Performs the hello handshake and returns the server's 8 ack bytes
   /// ("" on EOF before a full ack).
   std::string Hello(std::uint16_t version = kFrameVersion) {
     Send(EncodeHello(version));
-    return ReadExact(kFrameHelloBytes);
+    return ReadAck();
   }
+
+  /// The server's hello ack, for a hello sent inside a larger write.
+  std::string ReadAck() { return ReadExact(kFrameHelloBytes); }
 
   /// Reads one complete frame; false on EOF.
   bool ReadFrame(FrameType* type, std::string* payload) {
@@ -252,6 +277,62 @@ class ServeFrameConformanceTest : public ::testing::Test {
     return out;
   }
 
+  /// A pipeline of every query shape — node, routed, private-edge,
+  /// inductive, node — and the exact frames that answer it, each derived
+  /// from offline bits (QueryLogits for the private-edge query, as in
+  /// RoutedAndPrivateEdgeQueriesMatchGoldens).
+  struct Pipeline {
+    std::vector<std::string> frames;
+    std::vector<std::string> answers;
+    std::string requests() const {
+      std::string all;
+      for (const std::string& frame : frames) all += frame;
+      return all;
+    }
+  };
+  Pipeline MixedPipeline(std::int64_t first_id) const {
+    Pipeline pipeline;
+    std::int64_t id = first_id;
+    auto add = [&](ServeRequest request, const std::string& answer) {
+      request.id = id++;
+      pipeline.frames.push_back(EncodeRequestFrame(request));
+      pipeline.answers.push_back(answer);
+    };
+    ServeRequest node;
+    node.node = 3;
+    add(node, GoldenResponseFrame(id, 3, offline_default_, 3));
+    ServeRequest routed;
+    routed.model = "alt";
+    routed.node = 12;
+    add(routed, GoldenResponseFrame(id, 12, offline_alt_, 12));
+    ServeRequest edges;
+    edges.node = 7;
+    edges.has_edges = true;
+    edges.edges = {2, 9, 40};
+    ServeResponse edge_answer;
+    edge_answer.id = id;
+    edge_answer.node = 7;
+    edge_answer.logits =
+        InferenceSession(*default_artifact_, graph_).QueryLogits(edges);
+    edge_answer.label = static_cast<int>(
+        std::max_element(edge_answer.logits.begin(),
+                         edge_answer.logits.end()) -
+        edge_answer.logits.begin());
+    add(edges, EncodeResponseFrame(edge_answer));
+    ServeRequest inductive;
+    inductive.has_features = true;
+    inductive.features = WidenedFeatures(6);
+    inductive.has_edges = true;
+    inductive.edges = {1, 30};
+    const Matrix offline = default_artifact_->Infer(
+        AugmentGraph(graph_, inductive.features, inductive.edges));
+    add(inductive,
+        GoldenResponseFrame(id, -1, offline,
+                            static_cast<std::size_t>(graph_.num_nodes())));
+    add(node, GoldenResponseFrame(id, 3, offline_default_, 3));
+    return pipeline;
+  }
+
   Graph graph_;
   std::optional<GconArtifact> default_artifact_;
   std::optional<GconArtifact> alt_artifact_;
@@ -321,30 +402,34 @@ TEST(FrameFormatLock, RequestFrameRoundTrips) {
   request.features = {0.25, -1.5};
   const std::string frame = EncodeRequestFrame(request);
   ASSERT_GE(frame.size(), kFrameHeaderBytes);
-  // Parse from a 4-aligned payload buffer, as the server's pooled recv
-  // path guarantees — the zero-copy feature view is only dereferenceable
-  // under that contract (frame.data() + 5 would misalign the floats).
+  // The server parses a payload wherever its frame landed in the receive
+  // buffer, so decode it at every offset modulo 4 (frame.data() + 5, the
+  // in-place position, misaligns the floats by one).
   const std::size_t payload_len = frame.size() - kFrameHeaderBytes;
-  std::vector<std::uint32_t> aligned(payload_len / 4 + 1, 0);
-  std::memcpy(aligned.data(), frame.data() + kFrameHeaderBytes, payload_len);
-  const char* payload_bytes = reinterpret_cast<const char*>(aligned.data());
-  ServeRequest decoded;
-  std::string error;
-  ASSERT_TRUE(ParseRequestPayload(payload_bytes, payload_len, &decoded, &error))
-      << error;
-  EXPECT_EQ(decoded.id, 42);
-  EXPECT_EQ(decoded.deadline_us, 1000);
-  EXPECT_EQ(decoded.model, "alt");
-  EXPECT_EQ(decoded.node, -1);
-  EXPECT_TRUE(decoded.has_edges);
-  EXPECT_EQ(decoded.edges, (std::vector<int>{1, 5, -3}));
-  ASSERT_TRUE(decoded.has_features);
-  // Zero-copy: the decoded request views the frame bytes, owns nothing.
-  ASSERT_NE(decoded.feature_view.data, nullptr);
-  EXPECT_TRUE(decoded.features.empty());
-  ASSERT_EQ(decoded.feature_count(), 2u);
-  EXPECT_EQ(decoded.feature_view.data[0], 0.25f);
-  EXPECT_EQ(decoded.feature_view.data[1], -1.5f);
+  for (std::size_t shift = 0; shift < 4; ++shift) {
+    std::vector<std::uint32_t> storage(payload_len / 4 + 2, 0);
+    char* payload_bytes = reinterpret_cast<char*>(storage.data()) + shift;
+    std::memcpy(payload_bytes, frame.data() + kFrameHeaderBytes, payload_len);
+    ServeRequest decoded;
+    std::string error;
+    ASSERT_TRUE(
+        ParseRequestPayload(payload_bytes, payload_len, &decoded, &error))
+        << error;
+    EXPECT_EQ(decoded.id, 42);
+    EXPECT_EQ(decoded.deadline_us, 1000);
+    EXPECT_EQ(decoded.model, "alt");
+    EXPECT_EQ(decoded.node, -1);
+    EXPECT_TRUE(decoded.has_edges);
+    EXPECT_EQ(decoded.edges, (std::vector<int>{1, 5, -3}));
+    ASSERT_TRUE(decoded.has_features);
+    // Zero-copy: the decoded request views the frame bytes, owns nothing.
+    ASSERT_GE(decoded.feature_view.data, payload_bytes);
+    ASSERT_LE(decoded.feature_view.data + 8, payload_bytes + payload_len);
+    EXPECT_TRUE(decoded.features.empty());
+    ASSERT_EQ(decoded.feature_count(), 2u);
+    EXPECT_EQ(decoded.feature_view[0], 0.25f);
+    EXPECT_EQ(decoded.feature_view[1], -1.5f);
+  }
 }
 
 TEST(FrameFormatLock, MalformedPayloadsRejectWithIdRecovery) {
@@ -520,6 +605,172 @@ TEST_F(ServeFrameConformanceTest, PipelinedBurstAnswersInOrder) {
               GoldenResponseFrame(100 + i, i, offline_default_,
                                   static_cast<std::size_t>(i)));
   }
+}
+
+// --- Byte boundaries ---------------------------------------------------------
+// The server reads whatever the socket holds and parses every complete frame
+// in it, so the bytes must not depend on where the client's writes split.
+
+TEST_F(ServeFrameConformanceTest, BytePerSendPipelineMatchesGoldens) {
+  const Pipeline pipeline = MixedPipeline(300);
+  FrameClient client(port());
+  client.SetRecvTimeout(10000);
+  client.SendBytewise(EncodeHello(kFrameVersion) + pipeline.requests());
+  EXPECT_EQ(client.ReadAck(), EncodeHello(kFrameVersion));
+  for (const std::string& answer : pipeline.answers) {
+    EXPECT_EQ(client.ReadFrameBytes(), answer);
+  }
+}
+
+TEST_F(ServeFrameConformanceTest, OneSendPipelineMatchesGoldens) {
+  const Pipeline pipeline = MixedPipeline(310);
+  FrameClient client(port());
+  client.SetRecvTimeout(10000);
+  ASSERT_EQ(client.Hello(), EncodeHello(kFrameVersion));
+  client.Send(pipeline.requests());
+  for (const std::string& answer : pipeline.answers) {
+    EXPECT_EQ(client.ReadFrameBytes(), answer);
+  }
+}
+
+TEST_F(ServeFrameConformanceTest, HelloAndFirstFramesShareOneSegment) {
+  const Pipeline pipeline = MixedPipeline(320);
+  FrameClient client(port());
+  client.SetRecvTimeout(10000);
+  client.Send(EncodeHello(kFrameVersion) + pipeline.requests());
+  EXPECT_EQ(client.ReadAck(), EncodeHello(kFrameVersion));
+  for (const std::string& answer : pipeline.answers) {
+    EXPECT_EQ(client.ReadFrameBytes(), answer);
+  }
+}
+
+TEST_F(ServeFrameConformanceTest,
+       SeparateQueriesAreAnsweredWithoutMoreTraffic) {
+  // k queries in k writes, then silence: all k answers must arrive without
+  // the client sending another byte (answers may not wait for a next read
+  // that never comes).
+  const Pipeline pipeline = MixedPipeline(330);
+  FrameClient client(port());
+  client.SetRecvTimeout(10000);
+  ASSERT_EQ(client.Hello(), EncodeHello(kFrameVersion));
+  for (const std::string& frame : pipeline.frames) {
+    client.Send(frame);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  for (const std::string& answer : pipeline.answers) {
+    EXPECT_EQ(client.ReadFrameBytes(), answer);
+  }
+}
+
+TEST(ServeFrameWideConformance, FeatureFrameLargerThanOneReadMatchesOffline) {
+  // 20000 f32 features: an 80 KB frame, more than one socket read. It is
+  // sent around a node query, in two writes that split its payload, so the
+  // server holds a partial payload and must receive the rest into the same
+  // buffer before parsing the frame in place.
+  const Graph graph = serve_test::WideTestGraph(20000);
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 3);
+  const Matrix offline_graph = artifact.Infer(graph);
+  std::vector<ModelRouter::NamedModel> models;
+  models.push_back({"default", InferenceSession(artifact, graph)});
+  ServeOptions options;
+  options.threads = 2;
+  serve_test::TcpServerHarness server(std::move(models), options);
+
+  ServeRequest inductive;
+  inductive.id = 2;
+  inductive.has_features = true;
+  inductive.features = graph.features().RowCopy(4);
+  for (double& value : inductive.features) {
+    value = static_cast<double>(static_cast<float>(value * 1.375));
+  }
+  inductive.has_edges = true;
+  inductive.edges = {0, 7, 11};
+  const Matrix offline = artifact.Infer(
+      AugmentGraph(graph, inductive.features, inductive.edges));
+  ServeRequest before;
+  before.id = 1;
+  before.node = 9;
+  ServeRequest after = before;
+  after.id = 3;
+  const std::string big = EncodeRequestFrame(inductive);
+  ASSERT_GT(big.size(), std::size_t{80000});
+  const std::string stream = EncodeHello(kFrameVersion) +
+                             EncodeRequestFrame(before) + big +
+                             EncodeRequestFrame(after);
+  const std::size_t split = stream.size() / 2;
+
+  FrameClient client(server.port());
+  client.SetRecvTimeout(10000);
+  client.Send(stream.substr(0, split));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  client.Send(stream.substr(split));
+  EXPECT_EQ(client.ReadAck(), EncodeHello(kFrameVersion));
+  EXPECT_EQ(client.ReadFrameBytes(),
+            GoldenResponseFrame(1, 9, offline_graph, 9));
+  EXPECT_EQ(client.ReadFrameBytes(),
+            GoldenResponseFrame(
+                2, -1, offline, static_cast<std::size_t>(graph.num_nodes())));
+  EXPECT_EQ(client.ReadFrameBytes(),
+            GoldenResponseFrame(3, 9, offline_graph, 9));
+}
+
+TEST(ServeFramePinnedBuffers, BurstPastThePoolUnderSlowBatchesMatchesBits) {
+  // Receive buffers are recycled only once no pending query's feature view
+  // points into them. A pipelined burst of 64 inductive frames (~32 KB
+  // each, ~2 MB in all — many times the connection's 8 resident receive
+  // buffers) meets slow, small batches, so most queries are still waiting
+  // for the GEMM while later frames are received: a buffer refilled under
+  // a pending batch would change that query's features, and its answer
+  // would not match the in-process QueryLogits bits.
+  const Graph graph = serve_test::WideTestGraph(8000);
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 17);
+  const InferenceSession reference(artifact, graph);
+  std::vector<ModelRouter::NamedModel> models;
+  models.push_back({"default", InferenceSession(artifact, graph)});
+  ServeOptions options;
+  options.threads = 1;
+  options.max_batch = 2;
+  options.max_queue = 1024;
+  FaultInjector::Global().Reset();
+  serve_test::TcpServerHarness server(std::move(models), options);
+
+  constexpr int kBurst = 64;
+  Rng rng(5);
+  std::string burst;
+  std::vector<std::string> answers;
+  for (int i = 0; i < kBurst; ++i) {
+    ServeRequest request;
+    request.id = 500 + i;
+    request.has_features = true;
+    request.features.resize(static_cast<std::size_t>(graph.feature_dim()));
+    for (double& value : request.features) {
+      value = static_cast<double>(static_cast<float>(rng.Uniform(-1.0, 1.0)));
+    }
+    request.has_edges = true;
+    request.edges = {i % graph.num_nodes(), (7 * i + 3) % graph.num_nodes()};
+    burst += EncodeRequestFrame(request);
+    ServeResponse expected;
+    expected.id = request.id;
+    expected.node = -1;
+    expected.logits = reference.QueryLogits(request);
+    expected.label = static_cast<int>(
+        std::max_element(expected.logits.begin(), expected.logits.end()) -
+        expected.logits.begin());
+    answers.push_back(EncodeResponseFrame(expected));
+  }
+  ASSERT_GT(burst.size(), std::size_t{2000000});
+
+  FaultInjector::Global().set_slow_handler_us(2000);
+  FaultInjector::Global().Arm(Fault::kSlowHandler, kBurst);
+  FrameClient client(server.port());
+  client.SetRecvTimeout(30000);
+  ASSERT_EQ(client.Hello(), EncodeHello(kFrameVersion));
+  client.Send(burst);
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(client.ReadFrameBytes(), answers[static_cast<std::size_t>(i)])
+        << "answer " << i;
+  }
+  FaultInjector::Global().Reset();
 }
 
 // --- Coded rejections ------------------------------------------------------

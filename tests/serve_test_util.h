@@ -11,14 +11,19 @@
 #define GCON_TESTS_SERVE_TEST_UTIL_H_
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/model_io.h"
 #include "graph/datasets.h"
 #include "nn/mlp.h"
 #include "rng/rng.h"
+#include "serve/server.h"
 
 namespace gcon {
 namespace serve_test {
@@ -49,6 +54,44 @@ inline Graph TestGraph(std::uint64_t seed = 9) {
   Rng rng(seed);
   return GenerateDataset(TinySpec(), &rng);
 }
+
+/// TestGraph with `features` feature columns: wide enough that one
+/// feature-carrying request outgrows a single server-side socket read, or
+/// that a short burst of them spans many receive buffers.
+inline Graph WideTestGraph(int features, std::uint64_t seed = 9) {
+  DatasetSpec spec = TinySpec();
+  spec.num_features = features;
+  Rng rng(seed);
+  return GenerateDataset(spec, &rng);
+}
+
+/// One InferenceServer behind the real TCP front end on an ephemeral port,
+/// for tests that need a server unlike their suite's fixture. Stops (and
+/// joins the listener) on destruction.
+class TcpServerHarness {
+ public:
+  TcpServerHarness(std::vector<ModelRouter::NamedModel> models,
+                   ServeOptions options)
+      : server_(std::move(models), options) {
+    listener_ = std::thread(
+        [this] { RunTcpServer(&server_, /*port=*/0, &stop_, &port_); });
+    while (port_.load(std::memory_order_acquire) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ~TcpServerHarness() {
+    stop_.store(true, std::memory_order_release);
+    listener_.join();
+  }
+
+  int port() const { return port_.load(std::memory_order_acquire); }
+
+ private:
+  InferenceServer server_;
+  std::atomic<bool> stop_{false};
+  std::atomic<int> port_{0};
+  std::thread listener_;
+};
 
 /// The graph a feature-carrying query implies: the query node appended at
 /// index n with the given features and (in-range, deduplicated by AddEdge)

@@ -16,7 +16,9 @@
 # One pass is short (~50 ms per mode), so bench_serve runs 5 times and every
 # number written is the median over the passes (counts take the lower
 # median; a ratio is the median of the per-pass ratios). "passes" holds the
-# pass count and "ratio_passes" each gated ratio's per-pass values.
+# pass count and "ratio_passes" each gated ratio's per-pass values; next to
+# each gated ratio R sit R_q1 and R_q3, its quartiles over the passes, so a
+# median that passes while its spread straddles the bound is visible.
 #
 # The CI gates assert
 # speedup >= 2x, routing_cost >= 0.9 (multi-model routing may cost
@@ -64,6 +66,12 @@ def median(values):
 out = median(passes)
 out["passes"] = len(passes)
 out["ratio_passes"] = {k: [p[k] for p in passes] for k in RATIOS if k in out}
+for k, values in out["ratio_passes"].items():
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    out[k + "_q1"], out[k + "_q3"] = q1, q3
 with open(sys.argv[2], "w") as f:
     json.dump(out, f)
     f.write("\n")
