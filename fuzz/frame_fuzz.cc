@@ -10,29 +10,27 @@
 // to); an accepted hello negotiates to a version the server-side ack
 // round-trips; an accepted request payload re-encodes (after copying the
 // zero-copy feature view into the owning vector) to a frame whose payload
-// parses back to the same request. The request parser is fed from a
-// 4-aligned buffer and the response parser from an 8-aligned one, exactly
-// the alignment the server's recv path guarantees.
+// parses back to the same request. Request payloads (the fuzzed ones and
+// the re-encoded ones) are parsed at an odd address: the server parses a
+// frame where it landed in its receive buffer, which after a 5-byte frame
+// header is rarely 4-aligned.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "serve/frame.h"
 
 namespace {
 
-// Copies `size` bytes into a buffer aligned for `Align`-byte loads, as the
-// server's pooled frame buffers are. Returns a pointer valid for `size`
-// bytes (never null, even when size == 0).
-template <typename Align>
-const char* AlignedCopy(const std::uint8_t* data, std::size_t size,
-                        std::vector<Align>* storage) {
-  storage->assign(size / sizeof(Align) + 1, Align{});
-  if (size != 0) std::memcpy(storage->data(), data, size);
-  return reinterpret_cast<const char*>(storage->data());
+// Copies `size` bytes to an odd address inside `storage` and returns it
+// (never null, even when size == 0): the misaligned view the server takes.
+const char* MisalignedCopy(const char* data, std::size_t size,
+                           std::string* storage) {
+  storage->assign(size + 1, '\0');
+  if (size != 0) std::memcpy(&(*storage)[1], data, size);
+  return storage->data() + 1;
 }
 
 void CheckRequestPayload(const char* payload, std::size_t size) {
@@ -59,11 +57,10 @@ void CheckRequestPayload(const char* payload, std::size_t size) {
         static_cast<double>(request.feature_view[i]));
   }
   const std::string frame = gcon::EncodeRequestFrame(owned);
-  std::vector<std::uint32_t> aligned;
-  const char* reencoded = AlignedCopy(
-      reinterpret_cast<const std::uint8_t*>(frame.data()) +
-          gcon::kFrameHeaderBytes,
-      frame.size() - gcon::kFrameHeaderBytes, &aligned);
+  std::string storage;
+  const char* reencoded =
+      MisalignedCopy(frame.data() + gcon::kFrameHeaderBytes,
+                     frame.size() - gcon::kFrameHeaderBytes, &storage);
   gcon::ServeRequest again;
   if (!gcon::ParseRequestPayload(reencoded,
                                  frame.size() - gcon::kFrameHeaderBytes,
@@ -120,17 +117,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
   }
 
-  // Payload parsers, each from a buffer with its server-side alignment.
+  // Payload parsers. Every one reads byte-wise, at any alignment.
   {
-    std::vector<std::uint32_t> aligned4;
-    CheckRequestPayload(AlignedCopy(data, size, &aligned4), size);
+    std::string storage;
+    CheckRequestPayload(MisalignedCopy(bytes, size, &storage), size);
   }
   {
-    std::vector<double> aligned8;
-    const char* payload = AlignedCopy(data, size, &aligned8);
     gcon::ServeResponse response;
     error.clear();
-    if (!gcon::ParseResponsePayload(payload, size, &response, &error) &&
+    if (!gcon::ParseResponsePayload(bytes, size, &response, &error) &&
         error.empty()) {
       __builtin_trap();
     }

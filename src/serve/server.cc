@@ -394,6 +394,14 @@ constexpr std::size_t kReadChunk = std::size_t{64} << 10;
 /// Smallest receive buffer: one read's worth of room past a partial frame.
 constexpr std::size_t kMinReadBuffer = 2 * kReadChunk;
 
+/// One receive buffer. The storage is left uninitialised, so a recv
+/// commits only the pages it fills: an idle connection costs the bytes it
+/// was last sent, not the buffer's full size.
+struct RecvBuffer {
+  std::unique_ptr<char[]> bytes;
+  std::size_t size = 0;
+};
+
 /// Per-connection pool of receive buffers. A query whose feature view
 /// aliases a buffer holds it (ServeRequest::frame_pin, and the connection's
 /// in-flight entry until its answer is resolved), keeping its use_count
@@ -404,21 +412,28 @@ constexpr std::size_t kMinReadBuffer = 2 * kReadChunk;
 class FramePool {
  public:
   /// A buffer of at least `size` bytes that no query and no reader holds.
-  std::shared_ptr<std::vector<char>> Take(std::size_t size) {
+  /// Its contents are unspecified.
+  std::shared_ptr<RecvBuffer> Take(std::size_t size) {
     for (auto& buffer : pool_) {
       if (buffer.use_count() == 1) {
-        if (buffer->size() < size) buffer->resize(size);
+        if (buffer->size < size) Allocate(buffer.get(), size);
         return buffer;
       }
     }
-    auto buffer = std::make_shared<std::vector<char>>(size);
+    auto buffer = std::make_shared<RecvBuffer>();
+    Allocate(buffer.get(), size);
     if (pool_.size() < kPoolSize) pool_.push_back(buffer);
     return buffer;
   }
 
  private:
+  static void Allocate(RecvBuffer* buffer, std::size_t size) {
+    buffer->bytes.reset(new char[size]);  // default-initialised: no memset
+    buffer->size = size;
+  }
+
   static constexpr std::size_t kPoolSize = 8;
-  std::vector<std::shared_ptr<std::vector<char>>> pool_;
+  std::vector<std::shared_ptr<RecvBuffer>> pool_;
 };
 
 /// The receive side of a connection, shared by both transports. Each recv
@@ -426,16 +441,19 @@ class FramePool {
 /// the connection loop parses every complete frame or line in place from
 /// data()/size() before reading again. Only a partial frame at the end of
 /// a full buffer is ever copied — to the front of a fresh, unpinned one;
-/// the bytes a query's feature view points at never move.
+/// the bytes a query's feature view points at never move. No buffer is
+/// taken until the first Read.
 class ConnectionReader {
  public:
   enum class Status { kData, kWouldBlock, kClosed };
 
   ConnectionReader(int fd, obs::Counter* bytes_in)
-      : fd_(fd), bytes_in_(bytes_in), buffer_(pool_.Take(kMinReadBuffer)) {}
+      : fd_(fd), bytes_in_(bytes_in) {}
 
-  /// The received, not yet consumed bytes.
-  const char* data() const { return buffer_->data() + begin_; }
+  /// The received, not yet consumed bytes (null before the first Read).
+  const char* data() const {
+    return buffer_ == nullptr ? nullptr : buffer_->bytes.get() + begin_;
+  }
   std::size_t size() const { return end_ - begin_; }
   void Consume(std::size_t n) { begin_ += n; }
 
@@ -452,18 +470,18 @@ class ConnectionReader {
   /// kClosed on EOF, a dead socket, or an expired SO_RCVTIMEO.
   Status Read(std::size_t want, bool block) {
     const std::size_t held = size();
-    const std::size_t capacity = buffer_->size();
+    const std::size_t capacity = buffer_ == nullptr ? 0 : buffer_->size;
     if (capacity - end_ < kReadChunk || capacity - begin_ < want) {
       auto next =
           pool_.Take(std::max(kMinReadBuffer, 2 * std::max(want, held)));
-      std::memcpy(next->data(), data(), held);
+      if (held != 0) std::memcpy(next->bytes.get(), data(), held);
       buffer_ = std::move(next);
       begin_ = 0;
       end_ = held;
     }
     const std::size_t ask = std::max(kReadChunk, want > held ? want - held : 0);
     for (;;) {
-      const ssize_t n = ::recv(fd_, buffer_->data() + end_, ask,
+      const ssize_t n = ::recv(fd_, buffer_->bytes.get() + end_, ask,
                                block ? 0 : MSG_DONTWAIT);
       if (n > 0) {
         end_ += static_cast<std::size_t>(n);
@@ -482,7 +500,7 @@ class ConnectionReader {
   int fd_;
   obs::Counter* bytes_in_;
   FramePool pool_;
-  std::shared_ptr<std::vector<char>> buffer_;
+  std::shared_ptr<RecvBuffer> buffer_;
   std::size_t begin_ = 0;  ///< first unconsumed byte in *buffer_
   std::size_t end_ = 0;    ///< one past the last received byte
 };
@@ -521,10 +539,12 @@ struct BinaryCodec {
 /// One connection's I/O, shared by both transports: the buffered reader,
 /// the queries in flight, and one output buffer that every reply is
 /// appended to — answers, error replies, admin replies — in request order.
-/// The output goes out in one SendAll whenever the loop would block on a
-/// read (so answers flush when the client has nothing more buffered, while
-/// a mid-burst client keeps coalescing into the current batch window),
-/// once 64 KB of replies have piled up, and when the connection ends.
+/// The output goes out whenever the loop would block on a read (so answers
+/// flush when the client has nothing more buffered, while a mid-burst
+/// client keeps coalescing into the current batch window), once 64 KB of
+/// replies have piled up, and when the connection ends: in one SendAll
+/// when every answer is ready, otherwise with the ready ones sent before
+/// waiting on a batch that is still running.
 template <typename Codec>
 class Connection {
  public:
@@ -562,33 +582,26 @@ class Connection {
   /// Waits for every query in flight and appends its answer (or coded
   /// rejection) in request order. Resolved queries release their buffers.
   void Resolve() {
-    for (InFlight& query : pending_) {
-      try {
-        Codec::AppendAnswer(&out_, query.future.get());
-      } catch (const std::exception& e) {
-        Codec::AppendError(&out_, query.id, e);
-      }
-      if (query.trace != nullptr) unsent_.push_back(std::move(query.trace));
-    }
+    for (InFlight& query : pending_) Append(&query);
     pending_.clear();
   }
 
-  /// Resolve(), then the whole output in one SendAll. Returns false once
-  /// the socket has died; later calls still resolve every accepted query
-  /// (the batcher contract: every future resolves) and drop the bytes.
+  /// Resolves every query in flight and sends the whole output. Returns
+  /// false once the socket has died; later calls still resolve every
+  /// accepted query (the batcher contract: every future resolves) and drop
+  /// the bytes.
   bool Flush() {
-    Resolve();
-    if (!out_.empty()) {
-      if (alive_) {
-        alive_ = SendAll(fd_, out_);
-        if (alive_) metrics_.bytes_out->Increment(out_.size());
+    for (InFlight& query : pending_) {
+      // A whole window held back for its slowest batch would return to the
+      // client as one burst; what is already encoded goes out first.
+      if (!out_.empty() && query.future.wait_for(std::chrono::seconds(0)) !=
+                               std::future_status::ready) {
+        Send();
       }
-      out_.clear();
+      Append(&query);
     }
-    for (const auto& trace : unsent_) {
-      obs::TraceRecorder::Global().Finish(trace);
-    }
-    unsent_.clear();
+    pending_.clear();
+    Send();
     return alive_;
   }
 
@@ -619,6 +632,36 @@ class Connection {
     /// the future's handoff orders the batch's reads before the refill.
     std::shared_ptr<const void> pin;
   };
+
+  void Append(InFlight* query) {
+    // Shared, so the answer's state stays held while a rethrown error is
+    // read: a throwing std::future::get() drops the state first, leaving
+    // the batcher thread to free the exception the moment its promise
+    // goes, ordered only by libstdc++'s uninstrumented exception refcount.
+    const std::shared_future<ServeResponse> result = query->future.share();
+    try {
+      Codec::AppendAnswer(&out_, result.get());
+    } catch (const std::exception& e) {
+      Codec::AppendError(&out_, query->id, e);
+    }
+    if (query->trace != nullptr) unsent_.push_back(std::move(query->trace));
+  }
+
+  /// The output so far in one SendAll; the traces of the answers in it
+  /// finish once their bytes have left.
+  void Send() {
+    if (!out_.empty()) {
+      if (alive_) {
+        alive_ = SendAll(fd_, out_);
+        if (alive_) metrics_.bytes_out->Increment(out_.size());
+      }
+      out_.clear();
+    }
+    for (const auto& trace : unsent_) {
+      obs::TraceRecorder::Global().Finish(trace);
+    }
+    unsent_.clear();
+  }
 
   InferenceServer* server_;
   int fd_;
@@ -655,6 +698,7 @@ void ServeJsonLines(Connection<JsonCodec>* conn) {
   };
 
   for (;;) {
+    if (!conn->Read(in.size() + 1)) return;
     for (;;) {
       const char* eol =
           static_cast<const char*>(std::memchr(in.data(), '\n', in.size()));
@@ -734,7 +778,6 @@ void ServeJsonLines(Connection<JsonCodec>* conn) {
       oversized(std::string(in.data(), in.size()));
       return;
     }
-    if (!conn->Read(in.size() + 1)) return;
   }
 }
 
