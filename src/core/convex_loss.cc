@@ -1,5 +1,6 @@
 #include "core/convex_loss.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -7,18 +8,40 @@
 namespace gcon {
 namespace {
 
-// Numerically stable softplus: log(1 + e^t).
-double Softplus(double t) {
-  const double abs_t = std::abs(t);
-  return std::max(t, 0.0) + std::log1p(std::exp(-abs_t));
+// e^{-|x|}: the one exp the soft-margin loss takes per entry. softplus(-x)
+// and σ(x) both read it. The argument is written x >= 0 ? -x : x rather
+// than -|x| so that σ's lower branch gets exactly exp(x), NaN sign included.
+double ExpNegAbs(double x) { return std::exp(x >= 0.0 ? -x : x); }
+
+// σ(x) from e = e^{-|x|}: 1/(1 + e^{-x}) at x >= 0, e^{x}/(1 + e^{x}) below,
+// so neither branch overflows.
+double Sigmoid(double x, double e) {
+  return x >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
 }
 
-double Sigmoid(double x) {
-  if (x >= 0.0) {
-    return 1.0 / (1.0 + std::exp(-x));
-  }
-  const double e = std::exp(x);
-  return e / (1.0 + e);
+// -(1/c)[y log σ(x) + (1-y) log(1-σ(x))] = (1/c)[softplus(-x) + (1-y) x],
+// with the numerically stable softplus(-x) = max(-x, 0) + log1p(e^{-|x|}).
+double SoftMarginValue(double x, double y, double e, double c) {
+  return (std::max(-x, 0.0) + std::log1p(e) + (1.0 - y) * x) / c;
+}
+
+double SoftMarginD1(double x, double y, double e, double c) {
+  return (Sigmoid(x, e) - y) / c;
+}
+
+// sqrt(1 + u²) with u = (x-y)/δ_l: the one sqrt Pseudo-Huber takes per
+// entry, shared by ℓ and ℓ'.
+double PseudoHuberRoot(double x, double y, double delta_l) {
+  const double u = (x - y) / delta_l;
+  return std::sqrt(1.0 + u * u);
+}
+
+double PseudoHuberValue(double root, double delta_l, double c) {
+  return delta_l * delta_l / c * (root - 1.0);
+}
+
+double PseudoHuberD1(double x, double y, double root, double c) {
+  return (x - y) / (c * root);
 }
 
 }  // namespace
@@ -50,27 +73,41 @@ ConvexLoss ConvexLoss::PseudoHuber(int num_classes, double delta_l) {
 double ConvexLoss::Value(double x, double y) const {
   const double c = static_cast<double>(num_classes_);
   if (kind_ == ConvexLossKind::kMultiLabelSoftMargin) {
-    // -(1/c)[y log σ(x) + (1-y) log(1-σ(x))]
-    //   = (1/c)[softplus(-x) + (1-y) x].
-    return (Softplus(-x) + (1.0 - y) * x) / c;
+    return SoftMarginValue(x, y, ExpNegAbs(x), c);
   }
-  const double u = (x - y) / delta_l_;
-  return delta_l_ * delta_l_ / c * (std::sqrt(1.0 + u * u) - 1.0);
+  return PseudoHuberValue(PseudoHuberRoot(x, y, delta_l_), delta_l_, c);
 }
 
 double ConvexLoss::D1(double x, double y) const {
   const double c = static_cast<double>(num_classes_);
   if (kind_ == ConvexLossKind::kMultiLabelSoftMargin) {
-    return (Sigmoid(x) - y) / c;
+    return SoftMarginD1(x, y, ExpNegAbs(x), c);
   }
-  const double u = (x - y) / delta_l_;
-  return (x - y) / (c * std::sqrt(u * u + 1.0));
+  return PseudoHuberD1(x, y, PseudoHuberRoot(x, y, delta_l_), c);
+}
+
+void ConvexLoss::ValueAndD1InPlace(double* x, const double* y, double* d1,
+                                   std::size_t n) const {
+  const double c = static_cast<double>(num_classes_);
+  if (kind_ == ConvexLossKind::kMultiLabelSoftMargin) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const double e = ExpNegAbs(x[k]);
+      if (d1 != nullptr) d1[k] = SoftMarginD1(x[k], y[k], e, c);
+      x[k] = SoftMarginValue(x[k], y[k], e, c);
+    }
+    return;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    const double root = PseudoHuberRoot(x[k], y[k], delta_l_);
+    if (d1 != nullptr) d1[k] = PseudoHuberD1(x[k], y[k], root, c);
+    x[k] = PseudoHuberValue(root, delta_l_, c);
+  }
 }
 
 double ConvexLoss::D2(double x, double y) const {
   const double c = static_cast<double>(num_classes_);
   if (kind_ == ConvexLossKind::kMultiLabelSoftMargin) {
-    const double s = Sigmoid(x);
+    const double s = Sigmoid(x, ExpNegAbs(x));
     (void)y;  // ℓ'' does not depend on y for this loss
     return s * (1.0 - s) / c;
   }
@@ -81,7 +118,7 @@ double ConvexLoss::D2(double x, double y) const {
 double ConvexLoss::D3(double x, double y) const {
   const double c = static_cast<double>(num_classes_);
   if (kind_ == ConvexLossKind::kMultiLabelSoftMargin) {
-    const double s = Sigmoid(x);
+    const double s = Sigmoid(x, ExpNegAbs(x));
     (void)y;
     return s * (1.0 - s) * (1.0 - 2.0 * s) / c;
   }

@@ -18,6 +18,7 @@
 #ifndef GCON_CORE_CONVEX_LOSS_H_
 #define GCON_CORE_CONVEX_LOSS_H_
 
+#include <cstddef>
 #include <string>
 
 namespace gcon {
@@ -38,6 +39,12 @@ class ConvexLoss {
   double Value(double x, double y) const;
   /// First derivative ℓ'(x; y) w.r.t. x.
   double D1(double x, double y) const;
+  /// The element pass of L_priv over `n` (score, target) pairs: overwrites
+  /// x[k] with ℓ(x[k]; y[k]) and, when `d1` is non-null, writes ℓ'(x[k]; y[k])
+  /// to d1[k]. One exp(-|x|) per entry for the soft margin, one sqrt for
+  /// Pseudo-Huber; every result is bitwise equal to Value / D1.
+  void ValueAndD1InPlace(double* x, const double* y, double* d1,
+                         std::size_t n) const;
   /// Second derivative ℓ''(x; y).
   double D2(double x, double y) const;
   /// Third derivative ℓ'''(x; y).

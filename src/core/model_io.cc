@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iomanip>
+#include <locale>
 #include <sstream>
 #include <stdexcept>
 
@@ -57,6 +58,7 @@ void SaveModel(const GconArtifact& artifact, const std::string& path) {
   if (!out.good()) {
     BadArtifact(path, "cannot open for writing");
   }
+  out.imbue(std::locale::classic());  // the format is locale-invariant
   out << std::setprecision(17);
   out << "gcon-model v1\n";
   out << "alpha " << artifact.alpha << "\n";
@@ -104,6 +106,7 @@ GconArtifact LoadModel(const std::string& path) {
 }
 
 GconArtifact LoadModel(std::istream& in, const std::string& path) {
+  in.imbue(std::locale::classic());  // the format is locale-invariant
   std::string line;
   if (!std::getline(in, line)) {
     BadArtifact(path, "empty file (want a 'gcon-model v1' header)");

@@ -55,7 +55,9 @@ GconArtifact LoadModel(const std::string& path);
 
 /// Stream variant: parses one artifact from `in`; `name` labels error
 /// messages the way the path does for the file overload. This is the
-/// surface the artifact fuzz harness drives.
+/// surface the artifact fuzz harness drives. Both overloads read (and
+/// SaveModel writes) in the classic locale whatever the global one is;
+/// this one imbues `in` with it.
 GconArtifact LoadModel(std::istream& in, const std::string& name);
 
 /// Sanity bounds on a declared artifact header. A well-formed artifact is

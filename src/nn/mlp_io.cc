@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <istream>
+#include <locale>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -66,6 +67,7 @@ void ReadMatrixInto(const char* tag, int expected_layer, std::istream* in,
   }
   if (rows != m->rows() || cols != m->cols()) {
     std::ostringstream msg;
+    msg.imbue(std::locale::classic());
     msg << tag << " " << layer << " shape " << rows << "x" << cols
         << " does not match the declared architecture (" << m->rows() << "x"
         << m->cols() << ")";
@@ -115,6 +117,7 @@ void SaveMlp(const Mlp& mlp, std::ostream* out) {
 }
 
 Mlp LoadMlp(std::istream* in) {
+  in->imbue(std::locale::classic());  // the format is locale-invariant
   std::string word;
   if (!(*in >> word)) Malformed("truncated before the mlp header");
   if (word != "mlp") Malformed("bad magic '" + word + "' (want 'mlp')");

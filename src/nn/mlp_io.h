@@ -29,6 +29,7 @@ void AppendMatrixRows(const Matrix& m, std::string* out);
 /// Reads an MLP previously written by SaveMlp. Throws std::runtime_error
 /// describing the defect (bad magic, shape mismatch, truncation) on
 /// malformed input; embedding callers (core/model_io) add the file path.
+/// Reads in the classic locale whatever the global one is (imbues `in`).
 Mlp LoadMlp(std::istream* in);
 
 }  // namespace gcon

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "core/convex_loss.h"
 #include "rng/rng.h"
@@ -15,6 +19,28 @@ std::vector<double> SweepPoints() {
   xs.push_back(-700.0);  // numerical-stability probes
   xs.push_back(700.0);
   return xs;
+}
+
+// The scores the element pass must treat exactly like Value / D1: signed
+// zeros and subnormal-adjacent values, |x| = 37 where 1 + e^{-|x|} starts
+// to round to 1, |x| = 745 where e^{-|x|} is the last subnormal, |x| = 800
+// where it underflows to 0, the infinities, a NaN, and the sweep.
+std::vector<double> SpecialScores() {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {std::numeric_limits<double>::quiet_NaN()};
+  for (double m : {0.0, 1e-300, 37.0, 745.0, 800.0, inf}) {
+    xs.push_back(m);
+    xs.push_back(-m);
+  }
+  for (double x : SweepPoints()) xs.push_back(x);
+  return xs;
+}
+
+// Same bytes, or both NaN: IEEE leaves a NaN result's sign and payload to
+// the operand order the compiler picks.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0 ||
+         (std::isnan(a) && std::isnan(b));
 }
 
 class LossFamily : public ::testing::TestWithParam<ConvexLossKind> {
@@ -110,6 +136,31 @@ TEST_P(LossFamily, NumericallyStableAtExtremes) {
   }
 }
 
+TEST_P(LossFamily, FusedPassMatchesValueAndD1Bitwise) {
+  // Every score at both targets, in one pass with ℓ' and one without.
+  for (int c : {1, 7}) {
+    const ConvexLoss loss = Make(c);
+    std::vector<double> xs, ys;
+    for (double x : SpecialScores()) {
+      for (double y : {0.0, 1.0}) {
+        xs.push_back(x);
+        ys.push_back(y);
+      }
+    }
+    std::vector<double> values = xs, value_only = xs;
+    std::vector<double> d1(xs.size());
+    loss.ValueAndD1InPlace(values.data(), ys.data(), d1.data(), xs.size());
+    loss.ValueAndD1InPlace(value_only.data(), ys.data(), nullptr, xs.size());
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      EXPECT_TRUE(SameBits(values[k], loss.Value(xs[k], ys[k])))
+          << "c=" << c << " x=" << xs[k] << " y=" << ys[k];
+      EXPECT_TRUE(SameBits(d1[k], loss.D1(xs[k], ys[k])))
+          << "c=" << c << " x=" << xs[k] << " y=" << ys[k];
+      EXPECT_TRUE(SameBits(value_only[k], values[k])) << "x=" << xs[k];
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Both, LossFamily,
                          ::testing::Values(
                              ConvexLossKind::kMultiLabelSoftMargin,
@@ -132,6 +183,42 @@ TEST(MultiLabelSoftMargin, MatchesDirectFormula) {
                               (1.0 - y) * std::log(1.0 - sigmoid(x))) /
                             2.0;
       EXPECT_NEAR(loss.Value(x, y), direct, 1e-10);
+    }
+  }
+}
+
+TEST(ConvexLoss, ScalarFormulasKeepTheirBits) {
+  // Each formula written out on its own, as the losses were first
+  // implemented. Soft margin: softplus(-x) = max(-x, 0) + log1p(exp(-|x|))
+  // and σ(x) = 1/(1 + exp(-x)) at x >= 0, exp(x)/(1 + exp(x)) below, one
+  // exp each. Pseudo-Huber: a sqrt each. Value and D1 now share one exp or
+  // one sqrt per score and must keep every one of these bits.
+  for (int c : {1, 7}) {
+    const ConvexLoss soft = ConvexLoss::MultiLabelSoftMargin(c);
+    const double delta = 0.2;
+    const ConvexLoss huber = ConvexLoss::PseudoHuber(c, delta);
+    const double cd = static_cast<double>(c);
+    for (double x : SpecialScores()) {
+      for (double y : {0.0, 1.0}) {
+        const double u = (x - y) / delta;
+        const double huber_value =
+            delta * delta / cd * (std::sqrt(1.0 + u * u) - 1.0);
+        const double huber_d1 = (x - y) / (cd * std::sqrt(u * u + 1.0));
+        EXPECT_TRUE(SameBits(huber.Value(x, y), huber_value))
+            << "c=" << c << " x=" << x << " y=" << y;
+        EXPECT_TRUE(SameBits(huber.D1(x, y), huber_d1))
+            << "c=" << c << " x=" << x << " y=" << y;
+        const double softplus =
+            std::max(-x, 0.0) + std::log1p(std::exp(-std::abs(x)));
+        const double sigmoid =
+            x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
+                     : std::exp(x) / (1.0 + std::exp(x));
+        EXPECT_TRUE(
+            SameBits(soft.Value(x, y), (softplus + (1.0 - y) * x) / cd))
+            << "c=" << c << " x=" << x << " y=" << y;
+        EXPECT_TRUE(SameBits(soft.D1(x, y), (sigmoid - y) / cd))
+            << "c=" << c << " x=" << x << " y=" << y;
+      }
     }
   }
 }

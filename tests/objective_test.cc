@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "core/noise.h"
 #include "core/objective.h"
@@ -33,6 +36,137 @@ Problem MakeProblem(std::uint64_t seed, int n1 = 40, int d = 6, int c = 3) {
   p.noise = SampleNoiseMatrix(d, c, 2.0, &rng);
   p.loss = ConvexLoss::MultiLabelSoftMargin(c);
   return p;
+}
+
+// L_priv from the scalar loss API: MatMul, ConvexLoss::Value / D1 entry by
+// entry with a row-major sum, MatMulTransA. The objective's fused pass must
+// reproduce every bit of it.
+double ReferenceValueAndGradient(const Problem& p, double lambda_total,
+                                 const Matrix& theta, Matrix* grad) {
+  const Matrix scores = MatMul(p.z, theta);
+  Matrix dscores(scores.rows(), scores.cols());
+  double loss_sum = 0.0;
+  for (std::size_t i = 0; i < scores.rows(); ++i) {
+    for (std::size_t j = 0; j < scores.cols(); ++j) {
+      loss_sum += p.loss.Value(scores(i, j), p.y(i, j));
+      dscores(i, j) = p.loss.D1(scores(i, j), p.y(i, j));
+    }
+  }
+  const double inv_n1 = 1.0 / static_cast<double>(p.z.rows());
+  *grad = MatMulTransA(p.z, dscores);
+  ScaleInPlace(inv_n1, grad);
+  AxpyInPlace(lambda_total, theta, grad);
+  AxpyInPlace(inv_n1, p.noise, grad);
+  const double frob = FrobeniusNorm(theta);
+  return inv_n1 * loss_sum + 0.5 * lambda_total * frob * frob +
+         inv_n1 * DotAll(p.noise, theta);
+}
+
+// Same bytes, or both NaN (IEEE leaves a NaN's sign and payload to the
+// operand order the compiler picks).
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0 ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (!SameBits(a.data()[k], b.data()[k])) return false;
+  }
+  return true;
+}
+
+// Scores for class 0 of the first rows. -0 is left out: the GEMM's
+// accumulators start at +0, so Z·Θ never yields it (convex_loss_test feeds
+// it to the pass directly).
+std::vector<double> SpecialScores(bool non_finite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> xs = {0.0};
+  for (double m : {1e-300, 37.0, 745.0, 800.0}) {
+    xs.push_back(m);
+    xs.push_back(-m);
+  }
+  if (non_finite) {
+    for (double x : {inf, -inf, nan}) xs.push_back(x);
+  }
+  return xs;
+}
+
+// A c-class problem whose class-0 scores under Θ = I (d = c) are exactly
+// Z's column 0: one row per (special score, target) pair puts the score in
+// class 0 with y_0 = 0 or 1, and the other rows carry scores of every
+// magnitude up to 50, so a sum taken in any order but row-major changes
+// bits.
+Problem MakeSpecialProblem(int n1, int c, bool non_finite, bool huber) {
+  Problem p = MakeProblem(static_cast<std::uint64_t>(n1), n1, c, c);
+  if (huber) p.loss = ConvexLoss::PseudoHuber(c, 0.2);
+  Rng rng(static_cast<std::uint64_t>(n1) + 1);
+  for (std::size_t k = 0; k < p.z.size(); ++k) {
+    p.z.data()[k] *= rng.Uniform(0.0, 50.0);
+  }
+  std::size_t row = 0;
+  for (double x : SpecialScores(non_finite)) {
+    for (double y0 : {0.0, 1.0}) {
+      double* z = p.z.RowPtr(row);
+      double* y = p.y.RowPtr(row);
+      for (int j = 0; j < c; ++j) {
+        z[j] = 0.5;
+        y[j] = 0.0;
+      }
+      z[0] = x;
+      y[y0 == 1.0 ? 0 : 1] = 1.0;
+      ++row;
+    }
+  }
+  return p;
+}
+
+TEST(Objective, FusedPassMatchesScalarReferenceBitwise) {
+  // n1 = 40 runs the element pass inline; n1 = 2400 fans it out over row
+  // blocks. Value and gradient must keep every bit of the scalar reference
+  // either way, for both losses and for non-finite scores too.
+  for (const bool huber : {false, true}) {
+    for (const int n1 : {40, 2400}) {
+      for (const bool non_finite : {false, true}) {
+        const int c = 3;
+        const Problem p = MakeSpecialProblem(n1, c, non_finite, huber);
+        const double lambda_total = 0.3;
+        const PerturbedObjective objective(&p.z, &p.y, &p.loss, lambda_total,
+                                           &p.noise);
+        Matrix theta(p.z.cols(), p.y.cols());
+        for (std::size_t j = 0; j < theta.rows(); ++j) theta(j, j) = 1.0;
+        // Θ = I puts each special score in class 0 of its row unchanged.
+        const Matrix scores = MatMul(p.z, theta);
+        const std::size_t special_rows = 2 * SpecialScores(non_finite).size();
+        for (std::size_t i = 0; i < special_rows; ++i) {
+          EXPECT_TRUE(SameBits(scores(i, 0), p.z(i, 0)))
+              << "row " << i << ": " << scores(i, 0) << " vs " << p.z(i, 0);
+        }
+
+        Matrix ref_grad;
+        const double ref_value =
+            ReferenceValueAndGradient(p, lambda_total, theta, &ref_grad);
+        if (!non_finite) {
+          ASSERT_TRUE(std::isfinite(ref_value));
+        }
+        PerturbedObjective::Workspace workspace;
+        Matrix grad;
+        const double value =
+            objective.ValueAndGradient(theta, &grad, &workspace);
+        const std::string where = std::string(huber ? "huber" : "soft") +
+                                  " n1=" + std::to_string(n1) +
+                                  (non_finite ? " non-finite" : "");
+        EXPECT_TRUE(SameBits(value, ref_value)) << where;
+        EXPECT_TRUE(SameBits(grad, ref_grad)) << where;
+        // Value-only, with the workspace reused and without one.
+        EXPECT_TRUE(SameBits(objective.Value(theta, &workspace), ref_value))
+            << where;
+        EXPECT_TRUE(SameBits(objective.Value(theta), ref_value)) << where;
+      }
+    }
+  }
 }
 
 TEST(Objective, GradientMatchesFiniteDifference) {

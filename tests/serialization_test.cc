@@ -3,10 +3,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 
+#include "comma_locale.h"
 #include "core/gcon.h"
 #include "core/model_io.h"
 #include "eval/metrics.h"
@@ -235,6 +237,59 @@ TEST(ModelIo, HighPrecisionSurvivesRoundTrip) {
   EXPECT_DOUBLE_EQ(loaded.theta(0, 0), 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(loaded.theta(1, 0), 1e-17);
   EXPECT_DOUBLE_EQ(loaded.theta(2, 0), -123456.789012345678);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void ExpectSameArtifactBits(const GconArtifact& a, const GconArtifact& b) {
+  EXPECT_TRUE(SameBits(a.theta, b.theta));
+  ASSERT_EQ(a.encoder.num_layers(), b.encoder.num_layers());
+  for (int l = 0; l < a.encoder.num_layers(); ++l) {
+    EXPECT_TRUE(SameBits(a.encoder.weight(l), b.encoder.weight(l)));
+    EXPECT_TRUE(SameBits(a.encoder.bias(l), b.encoder.bias(l)));
+  }
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.alpha, b.alpha);
+  EXPECT_EQ(a.alpha_inference, b.alpha_inference);
+  EXPECT_EQ(a.epsilon, b.epsilon);
+  EXPECT_EQ(a.delta, b.delta);
+  EXPECT_EQ(a.params.beta, b.params.beta);
+  EXPECT_EQ(a.params.lambda_bar, b.params.lambda_bar);
+  EXPECT_EQ(a.params.lambda_prime, b.params.lambda_prime);
+}
+
+TEST(ModelIo, ArtifactIoIgnoresCommaDecimalLocale) {
+  // Every stream made after std::locale::global takes the global locale.
+  // Under a comma-decimal one an un-pinned SaveModel writes
+  // "alpha 0,69999999999999996" and an un-pinned LoadModel reads a C-locale
+  // "0.7" as 0, then fails on the key after it. Artifact I/O pins the
+  // classic locale, so both directions keep the C-locale bytes and bits.
+  const Trained t = TrainSmall();
+  const GconArtifact artifact = MakeArtifact(t.prepared, t.model, 2.0, 1e-4);
+  const std::string c_path = "/tmp/gcon_model_io_locale_c.model";
+  const std::string comma_path = "/tmp/gcon_model_io_locale_comma.model";
+  SaveModel(artifact, c_path);
+  const std::string c_bytes = ReadFileBytes(c_path);
+  const GconArtifact reference = LoadModel(c_path);
+  {
+    ScopedGlobalLocale comma(CommaLocale());
+    SaveModel(artifact, comma_path);
+    ExpectSameArtifactBits(LoadModel(c_path), reference);
+    std::istringstream in(c_bytes);
+    ExpectSameArtifactBits(LoadModel(in, "<comma locale>"), reference);
+  }
+  EXPECT_EQ(ReadFileBytes(comma_path), c_bytes);
+  std::remove(c_path.c_str());
+  std::remove(comma_path.c_str());
 }
 
 // --- hostile-header bounds ---------------------------------------------------
