@@ -18,6 +18,7 @@
 #include "graph/datasets.h"
 #include "linalg/gemm_kernels.h"
 #include "linalg/ops.h"
+#include "nn/mlp.h"
 #include "nn/optim.h"
 #include "propagation/appr.h"
 #include "propagation/cache.h"
@@ -150,12 +151,53 @@ void BM_AdamStep(benchmark::State& state) {
   Matrix v(kEncoderFeatures, kEncoderHidden);
   const internal::AdamCoefficients k{0.9, 0.999, 0.1, 0.001, 0.01, 1e-8, 1e-5};
   for (auto _ : state) {
-    (dispatched ? internal::AdamUpdate : internal::AdamUpdateScalar)(
-        k, p.size(), g.data(), p.data(), m.data(), v.data());
+    if (dispatched) {
+      internal::AdamUpdate(k, p.size(), g.data(), p.data(), m.data(),
+                           v.data());
+    } else {
+      internal::AdamUpdateScalar(k, p.size(), g.data(), p.data(), m.data(),
+                                 v.data());
+    }
     benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_AdamStep)->ArgName("dispatched")->Arg(0)->Arg(1);
+
+// Encoder training at the cora_ml shape: the 140 training rows above, 299
+// validation rows from the same features, the {2879, 32, 16, 7} tanh MLP
+// of `gcon_cli train`, validated every 5 epochs. One iteration trains
+// `epochs` more epochs; items are epochs, so real_time / epochs is the cost
+// of one epoch (with the per-call setup, gathering the rows and sizing the
+// workspace).
+void BM_MlpEpoch(benchmark::State& state) {
+  const int epochs = static_cast<int>(state.range(0));
+  constexpr std::size_t kValRows = 299;
+  Rng rng(13);
+  Matrix x(kEncoderRows + kValRows, kEncoderFeatures);
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (rng.Uniform(0.0, 1.0) < 0.012) x.data()[k] = 1.0;
+  }
+  const CsrMatrix features = CsrMatrix::FromDense(x);
+  std::vector<int> labels(x.rows()), train_idx, val_idx;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    labels[i] = static_cast<int>(rng.UniformInt(7));
+    (i < kEncoderRows ? train_idx : val_idx).push_back(static_cast<int>(i));
+  }
+  MlpOptions options;
+  options.dims = {static_cast<int>(kEncoderFeatures),
+                  static_cast<int>(kEncoderHidden), 16, 7};
+  options.hidden_activation = Activation::kTanh;
+  options.epochs = epochs;
+  Mlp mlp(options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mlp.Train(features, labels, train_idx, val_idx));
+  }
+  state.SetItemsProcessed(state.iterations() * epochs);
+}
+BENCHMARK(BM_MlpEpoch)
+    ->ArgName("epochs")
+    ->Arg(20)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SpMM(benchmark::State& state) {
   DatasetSpec spec = TinySpec();

@@ -36,6 +36,7 @@ CsrMatrix SymmetricNormalizedAdjacency(const Graph& graph) {
 Matrix TrainGcnAndPredict(const Graph& graph, const Split& split,
                           const GcnOptions& options) {
   GCON_CHECK(!split.train.empty());
+  GCON_CHECK_GE(options.eval_every, 1) << "validation needs a period >= 1";
   // Memoized through the generic cache hook: GCN repeats on the same graph
   // hit; DPGCN's per-(seed, epsilon) perturbed graphs mostly miss and age
   // out of the LRU — correctness is by fingerprint either way. Hold the

@@ -144,54 +144,137 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
 }
 #endif  // GCON_GEMM_HAVE_X86_DISPATCH
 
-// --- CSR axpy kernels ------------------------------------------------------
+// --- CSR row kernel --------------------------------------------------------
 //
-// For each stored entry e with index j = idx[e]:
-//   y_j[0..n) += vals[e] * x_j[0..n),
-//   x_j = x + j * x_stride,  y_j = y + (j >> y_shift) * y_stride.
-// One kernel serves both CSR drivers. The row driver gathers B rows into one
-// accumulator row per k-slab (x_stride = n, y_shift = log2 KC); the
-// transposed driver scatters one B row into accumulator rows (x_stride = 0,
-// y_shift = 0). The multiply-add mirrors the micro-kernel of the same tier:
-// `c += a * b` in the portable one, an FMA in the AVX2 one.
+// out[s] for s in [0, n) from the stored entries of one CSR row (idx[e] its
+// k index, vals[e] its value, entries in increasing k): the row's entries in
+// each KC-deep k-slab are summed from +0 in entry order,
+//   sum_slab[s] = sum over the slab's e of vals[e] * x[idx[e] * n + s],
+// with the multiply-add of the micro-kernel of the same tier (`c += a * b`
+// in the portable one, an FMA in the AVX2 one), and the slab sums are added
+// in k order, as the blocked driver folds its slabs when alpha is 1 and
+// beta 0. A slab the row leaves untouched would add +0, which only turns a
+// -0 into +0, and a sum that has added a +0 never returns to -0: so when the
+// row touches fewer than `slabs` slabs one +0 is added at the end, and a row
+// with no entries is +0. Called on a single slab's entries with slabs = 1,
+// it returns that slab's sum. The AVX2 kernel keeps the columns it works on
+// in registers while it walks the entries: 32 of a row within one slab, 16
+// of both the row and the current slab otherwise.
 
-using CsrAxpyFn = void (*)(std::size_t, const std::int32_t*, const double*,
-                           const double*, std::size_t, double*, unsigned,
-                           std::size_t, std::size_t);
+using CsrRowSumFn = void (*)(std::size_t, const std::int32_t*, const double*,
+                             const double*, std::size_t, std::size_t,
+                             double*);
 
-void CsrAxpyPortable(std::size_t count, const std::int32_t* idx,
-                     const double* vals, const double* x, std::size_t x_stride,
-                     double* y, unsigned y_shift, std::size_t y_stride,
-                     std::size_t n) {
-  for (std::size_t e = 0; e < count; ++e) {
-    const std::size_t j = static_cast<std::size_t>(idx[e]);
-    const double v = vals[e];
-    const double* xr = x + j * x_stride;
-    double* yr = y + (j >> y_shift) * y_stride;
-    for (std::size_t s = 0; s < n; ++s) yr[s] += v * xr[s];
+constexpr unsigned kGemmKCShift = 8;
+static_assert((std::size_t{1} << kGemmKCShift) == kGemmKC,
+              "the CSR kernels find an entry's k-slab by shifting");
+
+std::size_t SlabOf(std::int32_t k) {
+  return static_cast<std::size_t>(k) >> kGemmKCShift;
+}
+
+void CsrRowSumPortable(std::size_t count, const std::int32_t* idx,
+                       const double* vals, const double* x, std::size_t n,
+                       std::size_t slabs, double* out) {
+  for (std::size_t s = 0; s < n; ++s) {
+    double c = 0.0;
+    std::size_t touched = 0;
+    for (std::size_t e = 0; e < count;) {
+      const std::size_t slab = SlabOf(idx[e]);
+      double sum = 0.0;
+      for (; e < count && SlabOf(idx[e]) == slab; ++e) {
+        sum += vals[e] * x[static_cast<std::size_t>(idx[e]) * n + s];
+      }
+      c = touched++ == 0 ? sum : c + sum;
+    }
+    out[s] = touched < slabs ? c + 0.0 : c;
   }
 }
 
 #if GCON_GEMM_HAVE_X86_DISPATCH
-// The FMA loop lives in this target("avx2,fma") body on purpose: the scalar
-// tail's __builtin_fma compiles to vfmadd here, but to a libm call in a
-// function without the target attribute.
-__attribute__((target("avx2,fma"))) void CsrAxpyAvx2(
-    std::size_t count, const std::int32_t* idx, const double* vals,
-    const double* x, std::size_t x_stride, double* y, unsigned y_shift,
-    std::size_t y_stride, std::size_t n) {
-  for (std::size_t e = 0; e < count; ++e) {
-    const std::size_t j = static_cast<std::size_t>(idx[e]);
-    const double v = vals[e];
-    const double* xr = x + j * x_stride;
-    double* yr = y + (j >> y_shift) * y_stride;
-    const __m256d vv = _mm256_set1_pd(v);
-    std::size_t s = 0;
-    for (; s + 4 <= n; s += 4) {
-      _mm256_storeu_pd(yr + s, _mm256_fmadd_pd(vv, _mm256_loadu_pd(xr + s),
-                                               _mm256_loadu_pd(yr + s)));
+// kVecs four-column vectors of out from columns [0, 4 * kVecs) of x; with
+// kOneSlab the entries lie in one slab, so the row is that slab's sum. The
+// FMA loops live in target("avx2,fma") bodies on purpose: the scalar tail's
+// __builtin_fma compiles to vfmadd there, but to a libm call in a function
+// without the target attribute.
+template <int kVecs, bool kOneSlab>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+CsrRowSumVectorsAvx2(std::size_t count, const std::int32_t* idx,
+                     const double* vals, const double* x, std::size_t n,
+                     std::size_t slabs, double* out) {
+  __m256d c[kVecs];
+  for (int v = 0; v < kVecs; ++v) c[v] = _mm256_setzero_pd();
+  std::size_t touched = 0;
+  if constexpr (kOneSlab) {
+    // The row is its one slab's sum, taken in c itself.
+    for (std::size_t e = 0; e < count; ++e) {
+      const __m256d a = _mm256_set1_pd(vals[e]);
+      const double* xr = x + static_cast<std::size_t>(idx[e]) * n;
+      for (int v = 0; v < kVecs; ++v) {
+        c[v] = _mm256_fmadd_pd(a, _mm256_loadu_pd(xr + 4 * v), c[v]);
+      }
     }
-    for (; s < n; ++s) yr[s] = __builtin_fma(v, xr[s], yr[s]);
+    touched = count > 0 ? 1 : 0;
+  } else {
+    for (std::size_t e = 0; e < count;) {
+      const std::size_t slab = SlabOf(idx[e]);
+      __m256d sum[kVecs];
+      for (int v = 0; v < kVecs; ++v) sum[v] = _mm256_setzero_pd();
+      for (; e < count && SlabOf(idx[e]) == slab; ++e) {
+        const __m256d a = _mm256_set1_pd(vals[e]);
+        const double* xr = x + static_cast<std::size_t>(idx[e]) * n;
+        for (int v = 0; v < kVecs; ++v) {
+          sum[v] = _mm256_fmadd_pd(a, _mm256_loadu_pd(xr + 4 * v), sum[v]);
+        }
+      }
+      for (int v = 0; v < kVecs; ++v) {
+        c[v] = touched == 0 ? sum[v] : _mm256_add_pd(c[v], sum[v]);
+      }
+      ++touched;
+    }
+  }
+  for (int v = 0; v < kVecs; ++v) {
+    if (touched < slabs) c[v] = _mm256_add_pd(c[v], _mm256_setzero_pd());
+    _mm256_storeu_pd(out + 4 * v, c[v]);
+  }
+}
+
+__attribute__((target("avx2,fma"))) void CsrRowSumAvx2(
+    std::size_t count, const std::int32_t* idx, const double* vals,
+    const double* x, std::size_t n, std::size_t slabs, double* out) {
+  std::size_t s = 0;
+  if (count == 0 || SlabOf(idx[0]) == SlabOf(idx[count - 1])) {
+    for (; s + 32 <= n; s += 32) {
+      CsrRowSumVectorsAvx2<8, true>(count, idx, vals, x + s, n, slabs,
+                                    out + s);
+    }
+    for (; s + 4 <= n; s += 4) {
+      CsrRowSumVectorsAvx2<1, true>(count, idx, vals, x + s, n, slabs,
+                                    out + s);
+    }
+  } else {
+    for (; s + 16 <= n; s += 16) {
+      CsrRowSumVectorsAvx2<4, false>(count, idx, vals, x + s, n, slabs,
+                                     out + s);
+    }
+    for (; s + 4 <= n; s += 4) {
+      CsrRowSumVectorsAvx2<1, false>(count, idx, vals, x + s, n, slabs,
+                                     out + s);
+    }
+  }
+  for (; s < n; ++s) {
+    double c = 0.0;
+    std::size_t touched = 0;
+    for (std::size_t e = 0; e < count;) {
+      const std::size_t slab = SlabOf(idx[e]);
+      double sum = 0.0;
+      for (; e < count && SlabOf(idx[e]) == slab; ++e) {
+        sum = __builtin_fma(vals[e],
+                            x[static_cast<std::size_t>(idx[e]) * n + s], sum);
+      }
+      c = touched++ == 0 ? sum : c + sum;
+    }
+    out[s] = touched < slabs ? c + 0.0 : c;
   }
 }
 #endif  // GCON_GEMM_HAVE_X86_DISPATCH
@@ -211,18 +294,18 @@ MicroKernelFn ResolveMicroKernel() {
   return MicroKernelPortable;
 }
 
-CsrAxpyFn ResolveCsrAxpy() {
+CsrRowSumFn ResolveCsrRowSum() {
 #if GCON_GEMM_HAVE_X86_DISPATCH
-  if (DetectAvx2()) return CsrAxpyAvx2;
+  if (DetectAvx2()) return CsrRowSumAvx2;
 #endif
-  return CsrAxpyPortable;
+  return CsrRowSumPortable;
 }
 
 // Resolved once; the choice is stable for the process lifetime, so repeated
 // products on identical inputs are bitwise identical. Both resolve from the
 // same CPU test, so the CSR path fuses exactly when the micro-kernel does.
 const MicroKernelFn kMicroKernel = ResolveMicroKernel();
-const CsrAxpyFn kCsrAxpy = ResolveCsrAxpy();
+const CsrRowSumFn kCsrRowSum = ResolveCsrRowSum();
 
 // Folds one k-slab's accumulator row into a C row. `first` marks the first
 // k-slab, where beta is applied (beta == 0 overwrites without reading C);
@@ -306,45 +389,6 @@ void RecordGemmCall(std::size_t shape_class, std::uint64_t flops) {
 
 // --- CSR driver helpers ----------------------------------------------------
 
-// What GemmCsr must know about an operand's values, from one pass over them.
-struct ValueScan {
-  bool non_finite = false;  // some value is NaN or Inf
-  bool tiny = false;        // some value, zero included, is below 2^-511
-};
-
-// Reads only the 11 exponent bits (all ones: NaN or Inf; under 512: below
-// 2^-511 in magnitude), branch-free so the scan vectorizes.
-ValueScan ScanRange(const double* d, std::size_t size) {
-  std::uint32_t non_finite = 0;
-  std::uint32_t tiny = 0;
-  for (std::size_t i = 0; i < size; ++i) {
-    std::uint64_t bits;
-    std::memcpy(&bits, d + i, sizeof(bits));
-    const std::uint32_t exponent =
-        static_cast<std::uint32_t>(bits >> 52) & 0x7ffu;
-    non_finite |= exponent == 0x7ffu ? 1u : 0u;
-    tiny |= exponent < 512u ? 1u : 0u;
-  }
-  return {non_finite != 0, tiny != 0};
-}
-
-// ScanRange over fixed blocks; a scanned value costs about half a streaming
-// multiply-add (0.24 ns vectorized).
-ValueScan ScanValues(const double* d, std::size_t size) {
-  constexpr std::size_t kBlock = 8192;
-  std::vector<ValueScan> parts((size + kBlock - 1) / kBlock);
-  KernelForRanges(size, kBlock, size / 2,
-                  [&](std::size_t begin, std::size_t end) {
-                    parts[begin / kBlock] = ScanRange(d + begin, end - begin);
-                  });
-  ValueScan all;
-  for (const ValueScan& part : parts) {
-    all.non_finite |= part.non_finite;
-    all.tiny |= part.tiny;
-  }
-  return all;
-}
-
 Matrix Densify(const CsrOperand& a) {
   Matrix dense(a.rows, a.cols);
   for (std::size_t i = 0; i < a.rows; ++i) {
@@ -369,120 +413,135 @@ double CsrAt(const CsrOperand& a, std::size_t i, std::size_t j) {
 // underflows to -0 (an FMA keeps it, an unfused add turns it into +0). From
 // there the dense sum may return to +0 while the sparse one stays at -0, and
 // that is the only way the two can end apart. So each -0 left in a slab's
-// accumulator row is summed again the dense way: every k of the slab, zero
-// terms included, with the same multiply-add. Products of values at least
-// 2^-511 in magnitude cannot underflow, so the drivers only call this when
-// A or B holds a smaller value (zeros count, which is merely cautious).
-void RedoNegativeZeros(const CsrOperand& a, bool trans_a, std::size_t i,
-                       std::size_t pc, std::size_t pc_end, const Matrix& b,
-                       double* acc) {
-  const bool fused = kCsrAxpy != CsrAxpyPortable;
+// sum row is summed again the dense way: every k of the slab, zero terms
+// included, with the same multiply-add. Products of values at least 2^-511
+// in magnitude cannot underflow, so the driver only calls this when A or B
+// holds a smaller value (zeros count, which is merely cautious).
+void RedoNegativeZeros(const CsrOperand& op, std::size_t i, std::size_t pc,
+                       std::size_t pc_end, const Matrix& b, double* acc) {
+  const bool fused = kCsrRowSum != CsrRowSumPortable;
   for (std::size_t s = 0; s < b.cols(); ++s) {
     if (acc[s] != 0.0 || !std::signbit(acc[s])) continue;
     double sum = 0.0;
     for (std::size_t p = pc; p < pc_end; ++p) {
-      const double av = trans_a ? CsrAt(a, p, i) : CsrAt(a, i, p);
+      const double av = CsrAt(op, i, p);
       sum = fused ? std::fma(av, b(p, s), sum) : sum + av * b(p, s);
     }
     acc[s] = sum;
   }
 }
 
-constexpr unsigned kGemmKCShift = 8;
-static_assert((std::size_t{1} << kGemmKCShift) == kGemmKC,
-              "the CSR row driver finds an entry's k-slab by shifting");
-
-// Fixed blocks of C's rows for the two CSR drivers' fan-out.
+// Fixed blocks of C's rows for the CSR driver's fan-out: op(A) = A is a few
+// hundred rows of features, op(A) = Aᵀ one row per feature.
 constexpr std::size_t kCsrRowBlock = 16;
-constexpr std::size_t kCsrTransBlock = 256;
+constexpr std::size_t kCsrTransBlock = 64;
 
-// op(A) = A: one kernel call gathers the B rows named by row i's stored
-// entries into one accumulator row per k-slab; the slabs are then folded
-// into C's row i in k order. Each block of rows has its own accumulator.
-void GemmCsrRows(double alpha, const CsrOperand& a, const Matrix& b,
-                 double beta, bool may_underflow, Matrix* c) {
-  const std::size_t k = a.cols;
+// Row i of C is op(A)'s row i times B. With alpha 1, beta 0 and no product
+// that can underflow, the row kernel computes the whole row. Otherwise each
+// slab's sum is taken alone, its -0s redone, and folded through WriteRow as
+// the blocked driver folds it; slab 0, which applies beta, always, and a
+// slab the row does not touch never: it would fold alpha * (+0), which for
+// alpha < 0 is -0 and leaves every value as it is, and for alpha > 0 is +0,
+// for which one +0 added at the end stands in (see the row kernel). With
+// `only_touched`, rows without entries are left alone: C must already hold
+// the +0 the product gives them.
+void CsrRowRange(double alpha, const CsrPlan& plan, const Matrix& b,
+                 double beta, bool may_underflow, bool only_touched, Matrix* c,
+                 std::size_t i0, std::size_t i1) {
+  const CsrOperand& op = plan.op;
+  const std::size_t k = op.cols;
   const std::size_t n = b.cols();
   const std::size_t slabs = (k + kGemmKC - 1) / kGemmKC;
-  const auto nnz = static_cast<std::uint64_t>(a.row_ptr[a.rows]);
-  const std::uint64_t work = (nnz + a.rows * slabs) * n;
-  KernelForRanges(a.rows, kCsrRowBlock, work, [&](std::size_t i0,
-                                                  std::size_t i1) {
-    std::vector<double> acc(slabs * n);
-    for (std::size_t i = i0; i < i1; ++i) {
-      const std::int64_t e = a.row_ptr[i];
-      std::fill(acc.begin(), acc.end(), 0.0);
-      kCsrAxpy(static_cast<std::size_t>(a.row_ptr[i + 1] - e), a.col_idx + e,
-               a.values + e, b.data(), n, acc.data(), kGemmKCShift, n, n);
-      for (std::size_t slab = 0; slab < slabs; ++slab) {
-        double* slab_acc = acc.data() + slab * n;
-        const std::size_t pc = slab * kGemmKC;
-        if (may_underflow) {
-          RedoNegativeZeros(a, /*trans_a=*/false, i, pc,
-                            std::min(pc + kGemmKC, k), b, slab_acc);
-        }
-        WriteRow(slab_acc, n, alpha, beta, slab == 0, c->RowPtr(i));
-      }
+  const bool direct = alpha == 1.0 && beta == 0.0 && !may_underflow;
+  const bool skip_untouched = std::isfinite(alpha);
+  thread_local std::vector<double> sum;
+  if (!direct && sum.size() < n) sum.resize(n);
+  for (std::size_t i = i0; i < i1; ++i) {
+    const std::int64_t e_end = op.row_ptr[i + 1];
+    std::int64_t e = op.row_ptr[i];
+    if (only_touched && e == e_end) continue;
+    double* crow = c->RowPtr(i);
+    if (direct) {
+      kCsrRowSum(static_cast<std::size_t>(e_end - e), op.col_idx + e,
+                 op.values + e, b.data(), n, slabs, crow);
+      continue;
     }
-  });
+    bool skipped = false;
+    for (std::size_t slab = 0; slab < slabs; ++slab) {
+      const std::int64_t slab_begin = e;
+      while (e < e_end && SlabOf(op.col_idx[e]) == slab) ++e;
+      if (e == slab_begin && skip_untouched && slab > 0) {
+        skipped = true;
+        continue;
+      }
+      kCsrRowSum(static_cast<std::size_t>(e - slab_begin),
+                 op.col_idx + slab_begin, op.values + slab_begin, b.data(), n,
+                 /*slabs=*/1, sum.data());
+      const std::size_t pc = slab * kGemmKC;
+      if (may_underflow) {
+        RedoNegativeZeros(op, i, pc, std::min(pc + kGemmKC, k), b,
+                          sum.data());
+      }
+      WriteRow(sum.data(), n, alpha, beta, slab == 0, crow);
+    }
+    if (skipped && alpha > 0.0) {
+      for (std::size_t s = 0; s < n; ++s) crow[s] += 0.0;
+    }
+  }
 }
 
-// op(A) = A^T: each stored row p of A scatters B's row p into the
-// accumulator rows its entries name; a whole k-slab of rows is accumulated
-// before it is folded into C. With alpha == 1 and beta == 0 the first slab's
-// fold is a plain copy, so that slab accumulates in C itself. A block of
-// output rows takes from each stored row only its entries in that block's
-// column range, so every element is still summed over the same slabs in p
-// order.
-void GemmCsrTransA(double alpha, const CsrOperand& a, const Matrix& b,
-                   double beta, bool may_underflow, Matrix* c) {
-  const std::size_t m = a.cols;
-  const std::size_t k = a.rows;
-  const std::size_t n = b.cols();
-  const std::size_t blocks = (m + kCsrTransBlock - 1) / kCsrTransBlock;
-  // split[p * (blocks + 1) + blk]: row p's first entry whose column is at
-  // least blk * kCsrTransBlock; one pass instead of a search per block.
-  std::vector<std::int64_t> split(k * (blocks + 1));
-  for (std::size_t p = 0; p < k; ++p) {
-    std::int64_t* row_split = split.data() + p * (blocks + 1);
-    std::size_t blk = 0;
-    for (std::int64_t e = a.row_ptr[p]; e < a.row_ptr[p + 1]; ++e) {
-      const auto col = static_cast<std::size_t>(a.col_idx[e]);
-      while (blk * kCsrTransBlock <= col) row_split[blk++] = e;
+// CsrRowRange over fixed blocks of C's rows.
+void GemmCsrRows(double alpha, const CsrPlan& plan, const Matrix& b,
+                 double beta, bool may_underflow, Matrix* c) {
+  const CsrOperand& op = plan.op;
+  const std::size_t slabs = (op.cols + kGemmKC - 1) / kGemmKC;
+  const auto nnz = static_cast<std::uint64_t>(op.row_ptr[op.rows]);
+  const std::uint64_t work = (nnz + op.rows * slabs) * b.cols();
+  KernelForRanges(op.rows, plan.trans_a ? kCsrTransBlock : kCsrRowBlock, work,
+                  [&](std::size_t i0, std::size_t i1) {
+                    CsrRowRange(alpha, plan, b, beta, may_underflow,
+                                /*only_touched=*/false, c, i0, i1);
+                  });
+}
+
+// Rows [ic, ic + mc) of one (jc, pc) pass of the blocked driver, over the
+// packed B panel `bpack`.
+void BlockedPass(double alpha, const Matrix& a, bool trans_a, double beta,
+                 Matrix* c, const double* bpack, std::size_t jc,
+                 std::size_t nc, std::size_t pc, std::size_t kc,
+                 std::size_t ic, std::size_t mc) {
+  thread_local std::vector<double> apack(kApackSize);
+  alignas(64) double acc[MR * NR];
+  const std::size_t i_strips = (mc + MR - 1) / MR;
+  const std::size_t j_strips = (nc + NR - 1) / NR;
+  PackA(a, trans_a, ic, pc, mc, kc, apack.data());
+  for (std::size_t js = 0; js < j_strips; ++js) {
+    const double* bs = bpack + js * kc * NR;
+    const std::size_t cols = std::min(NR, nc - js * NR);
+    for (std::size_t is = 0; is < i_strips; ++is) {
+      kMicroKernel(kc, apack.data() + is * kc * MR, bs, acc);
+      WriteTile(acc, std::min(MR, mc - is * MR), cols, alpha, beta, pc == 0,
+                c, ic + is * MR, jc + js * NR);
     }
-    while (blk <= blocks) row_split[blk++] = a.row_ptr[p + 1];
   }
-  const bool first_in_place = alpha == 1.0 && beta == 0.0;
-  // Shared by the blocks, which zero and use only their own rows.
-  std::unique_ptr<double[]> acc;
-  if (k > kGemmKC || !first_in_place) acc.reset(new double[m * n]);
-  const auto nnz = static_cast<std::uint64_t>(a.row_ptr[k]);
-  const std::uint64_t work =
-      (nnz + m * ((k + kGemmKC - 1) / kGemmKC) + k * blocks) * n;
-  KernelFor(blocks, work, [&](int blk) {
-    const std::size_t j0 = static_cast<std::size_t>(blk) * kCsrTransBlock;
-    const std::size_t j1 = std::min(j0 + kCsrTransBlock, m);
-    for (std::size_t pc = 0; pc < k; pc += kGemmKC) {
-      const std::size_t pc_end = std::min(pc + kGemmKC, k);
-      const bool in_place = pc == 0 && first_in_place;
-      double* dst = in_place ? c->data() : acc.get();
-      std::fill(dst + j0 * n, dst + j1 * n, 0.0);
-      for (std::size_t p = pc; p < pc_end; ++p) {
-        const std::int64_t* row_split =
-            split.data() + p * (blocks + 1) + blk;
-        kCsrAxpy(static_cast<std::size_t>(row_split[1] - row_split[0]),
-                 a.col_idx + row_split[0], a.values + row_split[0],
-                 b.RowPtr(p), 0, dst, 0, n, n);
-      }
-      for (std::size_t i = j0; i < j1; ++i) {
-        double* row = dst + i * n;
-        if (may_underflow) {
-          RedoNegativeZeros(a, /*trans_a=*/true, i, pc, pc_end, b, row);
-        }
-        if (!in_place) WriteRow(row, n, alpha, beta, pc == 0, c->RowPtr(i));
-      }
-    }
-  });
+}
+
+// The shape checks and the products without a term, shared by both entries;
+// true when nothing is left to do.
+bool CsrTrivial(double alpha, const CsrOperand& a, bool trans_a,
+                const Matrix& b, double beta, Matrix* c) {
+  const std::size_t m = trans_a ? a.cols : a.rows;
+  const std::size_t k = trans_a ? a.rows : a.cols;
+  const std::size_t n = b.cols();
+  GCON_CHECK_EQ(k, b.rows()) << "gemm: inner dims mismatch";
+  GCON_CHECK_EQ(c->rows(), m);
+  GCON_CHECK_EQ(c->cols(), n);
+  if (m == 0 || n == 0) return true;
+  if (k == 0 || alpha == 0.0) {
+    ScaleOrZero(beta, c);
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -519,62 +578,166 @@ void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
 
   for (std::size_t jc = 0; jc < n; jc += kGemmNC) {
     const std::size_t nc = std::min(kGemmNC, n - jc);
-    const std::size_t j_strips = (nc + NR - 1) / NR;
     for (std::size_t pc = 0; pc < k; pc += kGemmKC) {
       const std::size_t kc = std::min(kGemmKC, k - pc);
-      const bool first = (pc == 0);
       PackB(b, trans_b, pc, jc, kc, nc, bpack.data());
 
       // The row blocks share bpack read-only; A packs into per-thread scratch.
       const std::size_t ic_blocks = (m + kGemmMC - 1) / kGemmMC;
       KernelFor(ic_blocks, m * nc * kc, [&](int ib) {
-        thread_local std::vector<double> apack(kApackSize);
-        alignas(64) double acc[MR * NR];
         const std::size_t ic = static_cast<std::size_t>(ib) * kGemmMC;
         const std::size_t mc = std::min(kGemmMC, m - ic);
-        const std::size_t i_strips = (mc + MR - 1) / MR;
-        PackA(a, trans_a, ic, pc, mc, kc, apack.data());
-        for (std::size_t js = 0; js < j_strips; ++js) {
-          const double* bs = bpack.data() + js * kc * NR;
-          const std::size_t cols = std::min(NR, nc - js * NR);
-          for (std::size_t is = 0; is < i_strips; ++is) {
-            kMicroKernel(kc, apack.data() + is * kc * MR, bs, acc);
-            WriteTile(acc, std::min(MR, mc - is * MR), cols, alpha, beta,
-                      first, c, ic + is * MR, jc + js * NR);
-          }
-        }
+        BlockedPass(alpha, a, trans_a, beta, c, bpack.data(), jc, nc, pc, kc,
+                    ic, mc);
       });
     }
   }
 }
 
-void GemmCsr(double alpha, const CsrOperand& a, bool trans_a, const Matrix& b,
-             double beta, Matrix* c) {
-  const std::size_t m = trans_a ? a.cols : a.rows;
-  const std::size_t k = trans_a ? a.rows : a.cols;
-  const std::size_t n = b.cols();
-  GCON_CHECK_EQ(k, b.rows()) << "gemm: inner dims mismatch";
-  GCON_CHECK_EQ(c->rows(), m);
+void GemmBlockedRows(double alpha, const Matrix& a, bool trans_a,
+                     const Matrix& b, bool trans_b, double beta, Matrix* c,
+                     std::size_t r0, std::size_t r1) {
+  const std::size_t k = trans_a ? a.rows() : a.cols();
+  const std::size_t n = trans_b ? b.rows() : b.cols();
+  GCON_CHECK_EQ(k, trans_b ? b.cols() : b.rows())
+      << "gemm: inner dims mismatch";
+  GCON_CHECK_EQ(c->rows(), trans_a ? a.cols() : a.rows());
   GCON_CHECK_EQ(c->cols(), n);
-  if (m == 0 || n == 0) return;
+  GCON_CHECK_LE(r1, c->rows());
+  if (r0 >= r1 || n == 0) return;
   if (k == 0 || alpha == 0.0) {
-    ScaleOrZero(beta, c);
+    for (std::size_t i = r0; i < r1; ++i) {
+      double* row = c->RowPtr(i);
+      for (std::size_t j = 0; j < n; ++j) {
+        row[j] = beta == 0.0 ? 0.0 : beta == 1.0 ? row[j] : row[j] * beta;
+      }
+    }
     return;
   }
-  const ValueScan b_scan = ScanValues(b.data(), b.size());
-  if (b_scan.non_finite) {
+  thread_local std::vector<double> bpack;
+  for (std::size_t jc = 0; jc < n; jc += kGemmNC) {
+    const std::size_t nc = std::min(kGemmNC, n - jc);
+    for (std::size_t pc = 0; pc < k; pc += kGemmKC) {
+      const std::size_t kc = std::min(kGemmKC, k - pc);
+      const std::size_t size = (nc + NR - 1) / NR * kc * NR;
+      if (bpack.size() < size) bpack.resize(size);
+      PackB(b, trans_b, pc, jc, kc, nc, bpack.data());
+      for (std::size_t ic = r0; ic < r1; ic += kGemmMC) {
+        BlockedPass(alpha, a, trans_a, beta, c, bpack.data(), jc, nc, pc, kc,
+                    ic, std::min(kGemmMC, r1 - ic));
+      }
+    }
+  }
+}
+
+void RecordGemm(std::size_t m, std::size_t n, std::size_t k) {
+  if (m == 0 || n == 0 || k == 0) return;
+  RecordGemmCall(GemmShapeClass(m, n), 2ull * m * n * k);
+}
+
+void RecordCsrGemm(const CsrPlan& plan, std::size_t n) {
+  const CsrOperand& op = plan.op;
+  if (op.rows == 0 || n == 0 || op.cols == 0) return;
+  RecordGemmCall(kCsrShapeClass, 2ull * op.row_ptr[op.rows] * n);
+}
+
+void GemmCsrRowRange(const CsrPlan& plan, const Matrix& b,
+                     const ValueFlags& b_flags, Matrix* c, std::size_t r0,
+                     std::size_t r1) {
+  GCON_CHECK(!b_flags.non_finite) << "a non-finite B needs the dense path";
+  GCON_CHECK_EQ(plan.op.cols, b.rows()) << "gemm: inner dims mismatch";
+  GCON_CHECK_EQ(c->rows(), plan.op.rows);
+  GCON_CHECK_EQ(c->cols(), b.cols());
+  GCON_CHECK_LE(r1, c->rows());
+  if (b.cols() == 0) return;
+  CsrRowRange(1.0, plan, b, 0.0, b_flags.tiny || plan.a_flags.tiny,
+              /*only_touched=*/plan.trans_a, c, r0, r1);
+}
+
+// Reads only the 11 exponent bits (all ones: NaN or Inf; under 512: below
+// 2^-511 in magnitude), branch-free so the scan vectorizes.
+ValueFlags ScanValueRange(const double* d, std::size_t size) {
+  std::uint32_t non_finite = 0;
+  std::uint32_t tiny = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    std::uint64_t bits;
+    std::memcpy(&bits, d + i, sizeof(bits));
+    const std::uint32_t exponent =
+        static_cast<std::uint32_t>(bits >> 52) & 0x7ffu;
+    non_finite |= exponent == 0x7ffu ? 1u : 0u;
+    tiny |= exponent < 512u ? 1u : 0u;
+  }
+  return {non_finite != 0, tiny != 0};
+}
+
+// A value scanned costs about half a streaming multiply-add (0.24 ns
+// vectorized).
+ValueFlags ScanValues(const double* d, std::size_t size) {
+  constexpr std::size_t kBlock = 8192;
+  if (size <= kBlock) return ScanValueRange(d, size);
+  std::vector<ValueFlags> parts((size + kBlock - 1) / kBlock);
+  KernelForRanges(size, kBlock, size / 2,
+                  [&](std::size_t begin, std::size_t end) {
+                    parts[begin / kBlock] =
+                        ScanValueRange(d + begin, end - begin);
+                  });
+  ValueFlags all;
+  for (const ValueFlags& part : parts) {
+    all.non_finite |= part.non_finite;
+    all.tiny |= part.tiny;
+  }
+  return all;
+}
+
+CsrPlan::CsrPlan(const CsrOperand& a, bool trans_a_in)
+    : op(a), trans_a(trans_a_in) {
+  const auto nnz = static_cast<std::size_t>(a.row_ptr[a.rows]);
+  a_flags = ScanValues(a.values, nnz);
+  if (!trans_a) return;
+  // Aᵀ by a counting sort on the column: A's rows are visited in order, so
+  // each row of Aᵀ lists its entries in increasing p, the order in which
+  // the blocked driver sums them.
+  row_ptr.assign(a.cols + 1, 0);
+  for (std::size_t e = 0; e < nnz; ++e) {
+    ++row_ptr[static_cast<std::size_t>(a.col_idx[e]) + 1];
+  }
+  for (std::size_t j = 0; j < a.cols; ++j) row_ptr[j + 1] += row_ptr[j];
+  col_idx.resize(nnz);
+  values.resize(nnz);
+  std::vector<std::int64_t> next(row_ptr.begin(), row_ptr.end() - 1);
+  for (std::size_t p = 0; p < a.rows; ++p) {
+    for (std::int64_t e = a.row_ptr[p]; e < a.row_ptr[p + 1]; ++e) {
+      const auto dst = static_cast<std::size_t>(
+          next[static_cast<std::size_t>(a.col_idx[e])]++);
+      col_idx[dst] = static_cast<std::int32_t>(p);
+      values[dst] = a.values[e];
+    }
+  }
+  op = {a.cols, a.rows, row_ptr.data(), col_idx.data(), values.data()};
+}
+
+void GemmCsr(double alpha, const CsrOperand& a, bool trans_a, const Matrix& b,
+             double beta, Matrix* c) {
+  if (CsrTrivial(alpha, a, trans_a, b, beta, c)) return;
+  const ValueFlags b_flags = ScanValues(b.data(), b.size());
+  if (b_flags.non_finite) {
     // 0 * NaN and 0 * Inf must still poison C (linalg/ops.h), and skipping
     // A's zeros would drop them.
     GemmBlocked(alpha, Densify(a), trans_a, b, /*trans_b=*/false, beta, c);
     return;
   }
-  const std::size_t nnz = static_cast<std::size_t>(a.row_ptr[a.rows]);
-  RecordGemmCall(kCsrShapeClass, 2ull * nnz * n);
-  const bool may_underflow = b_scan.tiny || ScanValues(a.values, nnz).tiny;
-  if (trans_a) {
-    GemmCsrTransA(alpha, a, b, beta, may_underflow, c);
-  } else {
-    GemmCsrRows(alpha, a, b, beta, may_underflow, c);
+  const CsrPlan plan(a, trans_a);
+  RecordCsrGemm(plan, b.cols());
+  GemmCsrRows(alpha, plan, b, beta, b_flags.tiny || plan.a_flags.tiny, c);
+}
+
+void ZeroEmptyRows(const CsrPlan& plan, Matrix* c) {
+  const CsrOperand& op = plan.op;
+  GCON_CHECK_EQ(c->rows(), op.rows);
+  for (std::size_t i = 0; i < op.rows; ++i) {
+    if (op.row_ptr[i] == op.row_ptr[i + 1]) {
+      std::fill(c->RowPtr(i), c->RowPtr(i) + c->cols(), 0.0);
+    }
   }
 }
 

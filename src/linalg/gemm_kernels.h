@@ -31,15 +31,27 @@
 // accumulator; the one case where that sign can reach C (a product that
 // underflows to -0, possible only with values below 2^-511) is detected and
 // recomputed densely. When B holds a NaN or Inf the skip is no longer exact
-// (0 * Inf = NaN), so GemmCsr runs the dense engine instead. It fans out
-// over fixed blocks of C's rows, each summed by one thread in the same order,
-// so its bits do not depend on the thread count either.
+// (0 * Inf = NaN), so GemmCsr runs the dense engine instead. Each row of C is
+// computed from op(A)'s row alone (op(A) = Aᵀ is transposed to CSR first,
+// its rows listing entries in increasing k), over fixed blocks of C's rows,
+// each summed by one thread in the same order, so its bits do not depend on
+// the thread count either.
+//
+// Work that carries a block of rows through several products and their
+// element-wise steps at once (a layer's bias and activation, an optimizer
+// update) calls the row-range entries (GemmBlockedRows, GemmCsrRowRange)
+// from its own fan-out, while the block is still in cache. A CSR operand
+// used for many products (the encoder's fixed training and validation
+// rows) is prepared once as a CsrPlan, and the planned row ranges take B's
+// value flags from the kernel that last wrote B instead of scanning B
+// again.
 #ifndef GCON_LINALG_GEMM_KERNELS_H_
 #define GCON_LINALG_GEMM_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "linalg/matrix.h"
 
@@ -103,6 +115,18 @@ void KernelForRows(std::size_t rows, std::size_t block_rows,
 void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
                  bool trans_b, double beta, Matrix* c);
 
+/// Rows [r0, r1) of GemmBlocked(alpha, a, trans_a, b, trans_b, beta, c), in
+/// the calling thread and with the same bits: for work that carries one
+/// block of rows through several products in a single fan-out. Packs B
+/// each call, so B should be small. Records no metrics (RecordGemm).
+void GemmBlockedRows(double alpha, const Matrix& a, bool trans_a,
+                     const Matrix& b, bool trans_b, double beta, Matrix* c,
+                     std::size_t r0, std::size_t r1);
+
+/// Counts one m x n x k product in the GEMM metrics, for a caller that
+/// computes it by row ranges.
+void RecordGemm(std::size_t m, std::size_t n, std::size_t k);
+
 /// Read-only view of a canonical CSR matrix: row_ptr holds rows + 1
 /// offsets, column indices are strictly increasing within a row. A view
 /// rather than sparse/CsrMatrix keeps linalg free of the sparse tier.
@@ -114,11 +138,61 @@ struct CsrOperand {
   const double* values = nullptr;
 };
 
+/// What the CSR products must know about an operand's values.
+struct ValueFlags {
+  bool non_finite = false;  ///< some value is NaN or Inf
+  bool tiny = false;        ///< some value, zero included, is below 2^-511
+};
+
+/// The flags of d[0, size): ScanValueRange in the calling thread,
+/// ScanValues over fixed blocks on the kernel tier.
+ValueFlags ScanValueRange(const double* d, std::size_t size);
+ValueFlags ScanValues(const double* d, std::size_t size);
+
 /// C = alpha * op(A) * B + beta * C with A sparse, bitwise identical to
 /// GemmBlocked(alpha, dense(A), trans_a, b, /*trans_b=*/false, beta, c).
 /// Shapes after op: (m x k) * (k x n) -> C (m x n).
 void GemmCsr(double alpha, const CsrOperand& a, bool trans_a, const Matrix& b,
              double beta, Matrix* c);
+
+/// A CSR operand prepared once for many products with it: A's value flags
+/// and op(A) in CSR form, for op(A) = Aᵀ built here (each row listing its
+/// entries in increasing k, the order of the blocked engine's sums). The
+/// view's arrays must outlive the plan. A plan moves but does not copy: op
+/// may point into its own vectors, whose buffers a move keeps.
+struct CsrPlan {
+  CsrPlan(const CsrOperand& a, bool trans_a);
+  CsrPlan(CsrPlan&&) = default;
+  CsrPlan& operator=(CsrPlan&&) = default;
+  CsrPlan(const CsrPlan&) = delete;
+  CsrPlan& operator=(const CsrPlan&) = delete;
+
+  CsrOperand op;  ///< op(A)
+  bool trans_a;
+  ValueFlags a_flags;
+  /// Aᵀ's arrays when trans_a.
+  std::vector<std::int64_t> row_ptr;
+  std::vector<std::int32_t> col_idx;
+  std::vector<double> values;
+};
+
+/// Sets C's rows where op(A) has no entry to +0.
+void ZeroEmptyRows(const CsrPlan& plan, Matrix* c);
+
+/// Rows [r0, r1) of C = op(A) * B for a planned A, in the calling thread:
+/// bitwise GemmCsr(1, a, trans_a, b, 0, c) there, with B's flags given by
+/// the caller (a kernel that just wrote B reports them) instead of scanned.
+/// B must be finite. Under op(A) = Aᵀ the rows that no entry of A names
+/// are not written: they must hold +0, the value the product gives them,
+/// as they do when C started zero and only these products wrote it
+/// (ZeroEmptyRows puts it back after a dense product). Records no metrics
+/// (RecordCsrGemm).
+void GemmCsrRowRange(const CsrPlan& plan, const Matrix& b,
+                     const ValueFlags& b_flags, Matrix* c, std::size_t r0,
+                     std::size_t r1);
+
+/// Counts one planned product with a B of n columns in the GEMM metrics.
+void RecordCsrGemm(const CsrPlan& plan, std::size_t n);
 
 /// The seed repository's i-k-j triple loop, kept verbatim (minus the
 /// zero-operand skip) as the reference the blocked kernel is tested and

@@ -14,14 +14,16 @@ class DpgcnModel : public internal::CachedLogitsModel {
  public:
   explicit DpgcnModel(const ModelConfig& config)
       : budget_(internal::ReadBudgetKeys(config)) {
-    options_.gcn.hidden = config.GetInt("hidden", options_.gcn.hidden);
-    options_.gcn.epochs = config.GetInt("epochs", options_.gcn.epochs);
+    options_.gcn.hidden =
+        config.GetIntAtLeast("hidden", options_.gcn.hidden, 1);
+    options_.gcn.epochs =
+        config.GetIntAtLeast("epochs", options_.gcn.epochs, 0);
     options_.gcn.learning_rate =
         config.GetDouble("learning_rate", options_.gcn.learning_rate);
     options_.gcn.weight_decay =
         config.GetDouble("weight_decay", options_.gcn.weight_decay);
     options_.gcn.eval_every =
-        config.GetInt("eval_every", options_.gcn.eval_every);
+        config.GetIntAtLeast("eval_every", options_.gcn.eval_every, 1);
     options_.gcn.seed = config.GetSeed("seed", options_.gcn.seed);
     options_.count_split = config.GetDouble("count_split", options_.count_split);
   }

@@ -14,7 +14,7 @@ class DpsgdModel : public internal::CachedLogitsModel {
   explicit DpsgdModel(const ModelConfig& config)
       : budget_(internal::ReadBudgetKeys(config)) {
     options_.clip = config.GetDouble("clip", options_.clip);
-    options_.steps = config.GetInt("steps", options_.steps);
+    options_.steps = config.GetIntAtLeast("steps", options_.steps, 0);
     options_.sample_rate = config.GetDouble("sample_rate", options_.sample_rate);
     options_.learning_rate =
         config.GetDouble("learning_rate", options_.learning_rate);

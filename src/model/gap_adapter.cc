@@ -14,14 +14,17 @@ class GapModel : public internal::CachedLogitsModel {
  public:
   explicit GapModel(const ModelConfig& config)
       : budget_(internal::ReadBudgetKeys(config)) {
-    options_.hops = config.GetInt("hops", options_.hops);
+    options_.hops = config.GetIntAtLeast("hops", options_.hops, 0);
     options_.encoder_hidden =
-        config.GetInt("encoder_hidden", options_.encoder_hidden);
-    options_.encoder_dim = config.GetInt("encoder_dim", options_.encoder_dim);
+        config.GetIntAtLeast("encoder_hidden", options_.encoder_hidden, 1);
+    options_.encoder_dim =
+        config.GetIntAtLeast("encoder_dim", options_.encoder_dim, 1);
     options_.encoder_epochs =
-        config.GetInt("encoder_epochs", options_.encoder_epochs);
-    options_.head_hidden = config.GetInt("head_hidden", options_.head_hidden);
-    options_.head_epochs = config.GetInt("head_epochs", options_.head_epochs);
+        config.GetIntAtLeast("encoder_epochs", options_.encoder_epochs, 0);
+    options_.head_hidden =
+        config.GetIntAtLeast("head_hidden", options_.head_hidden, 1);
+    options_.head_epochs =
+        config.GetIntAtLeast("head_epochs", options_.head_epochs, 0);
     options_.learning_rate =
         config.GetDouble("learning_rate", options_.learning_rate);
     options_.weight_decay =

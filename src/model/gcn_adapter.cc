@@ -13,13 +13,14 @@ namespace {
 class GcnModel : public internal::CachedLogitsModel {
  public:
   explicit GcnModel(const ModelConfig& config) {
-    options_.hidden = config.GetInt("hidden", options_.hidden);
-    options_.epochs = config.GetInt("epochs", options_.epochs);
+    options_.hidden = config.GetIntAtLeast("hidden", options_.hidden, 1);
+    options_.epochs = config.GetIntAtLeast("epochs", options_.epochs, 0);
     options_.learning_rate =
         config.GetDouble("learning_rate", options_.learning_rate);
     options_.weight_decay =
         config.GetDouble("weight_decay", options_.weight_decay);
-    options_.eval_every = config.GetInt("eval_every", options_.eval_every);
+    options_.eval_every =
+        config.GetIntAtLeast("eval_every", options_.eval_every, 1);
     options_.seed = config.GetSeed("seed", options_.seed);
     internal::ReadBudgetKeys(config);  // accepted, ignored: not private
   }

@@ -59,10 +59,12 @@ class GconGraphModel : public GraphModel {
     }
     config_.pseudo_huber_delta =
         config.GetDouble("pseudo_huber_delta", config_.pseudo_huber_delta);
-    config_.encoder.hidden = config.GetInt("hidden", config_.encoder.hidden);
-    config_.encoder.out_dim = config.GetInt("d1", config_.encoder.out_dim);
+    config_.encoder.hidden =
+        config.GetIntAtLeast("hidden", config_.encoder.hidden, 1);
+    config_.encoder.out_dim =
+        config.GetIntAtLeast("d1", config_.encoder.out_dim, 1);
     config_.encoder.epochs =
-        config.GetInt("encoder_epochs", config_.encoder.epochs);
+        config.GetIntAtLeast("encoder_epochs", config_.encoder.epochs, 0);
     config_.expand_train_set =
         config.GetBool("expand", true);  // n1 = n, the stronger configuration
     config_.disable_noise =

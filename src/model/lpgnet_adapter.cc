@@ -14,9 +14,9 @@ class LpgnetModel : public internal::CachedLogitsModel {
  public:
   explicit LpgnetModel(const ModelConfig& config)
       : budget_(internal::ReadBudgetKeys(config)) {
-    options_.stacks = config.GetInt("stacks", options_.stacks);
-    options_.hidden = config.GetInt("hidden", options_.hidden);
-    options_.epochs = config.GetInt("epochs", options_.epochs);
+    options_.stacks = config.GetIntAtLeast("stacks", options_.stacks, 0);
+    options_.hidden = config.GetIntAtLeast("hidden", options_.hidden, 1);
+    options_.epochs = config.GetIntAtLeast("epochs", options_.epochs, 0);
     options_.learning_rate =
         config.GetDouble("learning_rate", options_.learning_rate);
     options_.weight_decay =

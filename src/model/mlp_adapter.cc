@@ -25,8 +25,8 @@ namespace {
 class MlpModel : public GraphModel {
  public:
   explicit MlpModel(const ModelConfig& config) {
-    options_.hidden = config.GetInt("hidden", options_.hidden);
-    options_.epochs = config.GetInt("epochs", options_.epochs);
+    options_.hidden = config.GetIntAtLeast("hidden", options_.hidden, 1);
+    options_.epochs = config.GetIntAtLeast("epochs", options_.epochs, 0);
     options_.learning_rate =
         config.GetDouble("learning_rate", options_.learning_rate);
     options_.weight_decay =

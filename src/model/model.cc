@@ -58,6 +58,18 @@ int ModelConfig::GetInt(const std::string& key, int default_value) const {
   }
 }
 
+int ModelConfig::GetIntAtLeast(const std::string& key, int default_value,
+                               int min) const {
+  const int v = GetInt(key, default_value);
+  if (v < min) {
+    throw std::invalid_argument("config key '" + key +
+                                "': want an integer >= " +
+                                std::to_string(min) + ", got " +
+                                std::to_string(v));
+  }
+  return v;
+}
+
 double ModelConfig::GetDouble(const std::string& key,
                               double default_value) const {
   consumed_.insert(key);

@@ -56,6 +56,9 @@ class ModelConfig {
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
   int GetInt(const std::string& key, int default_value) const;
+  /// GetInt, throwing std::invalid_argument that names the key when the
+  /// value is below `min` (a width of 0, a negative epoch count).
+  int GetIntAtLeast(const std::string& key, int default_value, int min) const;
   double GetDouble(const std::string& key, double default_value) const;
   bool GetBool(const std::string& key, bool default_value) const;
   std::uint64_t GetSeed(const std::string& key,

@@ -14,10 +14,11 @@ class ProgapModel : public internal::CachedLogitsModel {
  public:
   explicit ProgapModel(const ModelConfig& config)
       : budget_(internal::ReadBudgetKeys(config)) {
-    options_.stages = config.GetInt("stages", options_.stages);
-    options_.hidden = config.GetInt("hidden", options_.hidden);
-    options_.dim = config.GetInt("dim", options_.dim);
-    options_.stage_epochs = config.GetInt("stage_epochs", options_.stage_epochs);
+    options_.stages = config.GetIntAtLeast("stages", options_.stages, 0);
+    options_.hidden = config.GetIntAtLeast("hidden", options_.hidden, 1);
+    options_.dim = config.GetIntAtLeast("dim", options_.dim, 1);
+    options_.stage_epochs =
+        config.GetIntAtLeast("stage_epochs", options_.stage_epochs, 0);
     options_.learning_rate =
         config.GetDouble("learning_rate", options_.learning_rate);
     options_.weight_decay =

@@ -2,6 +2,10 @@
 #ifndef GCON_NN_ACTIVATIONS_H_
 #define GCON_NN_ACTIVATIONS_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
 #include "linalg/matrix.h"
 
 namespace gcon {
@@ -22,6 +26,23 @@ void ApplyActivationInPlace(Activation act, Matrix* m);
 /// retaining pre-activation buffers for tanh/sigmoid.
 void ActivationDerivFromOutput(Activation act, const Matrix& out,
                                Matrix* deriv);
+
+/// The two element-wise steps a layer's product feeds, for work that
+/// carries a block of rows through the layers (linalg/gemm_kernels.h), in
+/// the calling thread and with the element operations of the calls above.
+/// BiasActivateRows sets data = act(data + bias) on `rows` rows of `cols`
+/// values (the forward pass's bias add and activation); MulDerivFromOutput
+/// sets dh = dh * act'(out) on `count` values (the backward pass's step
+/// through the activation, the derivative taken from the post-activation
+/// values).
+void BiasActivateRows(Activation act, const double* bias, std::size_t rows,
+                      std::size_t cols, double* data);
+void MulDerivFromOutput(Activation act, const double* out, std::size_t count,
+                        double* dh);
+
+/// One element's activation cost in streaming multiply-adds, the unit of
+/// the kernel tier's work estimates (linalg/gemm_kernels.h).
+std::uint64_t ActivationWork(Activation act);
 
 /// Parses "identity" / "relu" / "tanh" / "sigmoid".
 Activation ActivationByName(const std::string& name);

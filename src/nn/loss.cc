@@ -29,6 +29,28 @@ Matrix Softmax(const Matrix& logits) {
   return out;
 }
 
+double SoftmaxCrossEntropyRow(const double* row, std::size_t cols, int label,
+                              double inv_count, double* grad) {
+  double max_v = row[0];
+  for (std::size_t j = 1; j < cols; ++j) {
+    max_v = std::max(max_v, row[j]);
+  }
+  double sum = 0.0;
+  for (std::size_t j = 0; j < cols; ++j) {
+    sum += std::exp(row[j] - max_v);
+  }
+  const double log_sum = std::log(sum) + max_v;
+  GCON_CHECK_GE(label, 0);
+  GCON_CHECK_LT(static_cast<std::size_t>(label), cols);
+  if (grad != nullptr) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double p = std::exp(row[j] - log_sum);
+      grad[j] = (p - (static_cast<int>(j) == label ? 1.0 : 0.0)) * inv_count;
+    }
+  }
+  return log_sum - row[label];
+}
+
 double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& labels,
                            const std::vector<int>& index, Matrix* grad) {
   GCON_CHECK(!index.empty());
@@ -40,27 +62,9 @@ double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& labels,
   for (int node : index) {
     const std::size_t i = static_cast<std::size_t>(node);
     GCON_CHECK_LT(i, logits.rows());
-    const double* row = logits.RowPtr(i);
-    double max_v = row[0];
-    for (std::size_t j = 1; j < logits.cols(); ++j) {
-      max_v = std::max(max_v, row[j]);
-    }
-    double sum = 0.0;
-    for (std::size_t j = 0; j < logits.cols(); ++j) {
-      sum += std::exp(row[j] - max_v);
-    }
-    const double log_sum = std::log(sum) + max_v;
-    const int y = labels[i];
-    GCON_CHECK_GE(y, 0);
-    GCON_CHECK_LT(static_cast<std::size_t>(y), logits.cols());
-    total += log_sum - row[y];
-    if (grad != nullptr) {
-      double* grow = grad->RowPtr(i);
-      for (std::size_t j = 0; j < logits.cols(); ++j) {
-        const double p = std::exp(row[j] - log_sum);
-        grow[j] = (p - (static_cast<int>(j) == y ? 1.0 : 0.0)) * inv_count;
-      }
-    }
+    total += SoftmaxCrossEntropyRow(
+        logits.RowPtr(i), logits.cols(), labels[i], inv_count,
+        grad != nullptr ? grad->RowPtr(i) : nullptr);
   }
   return total * inv_count;
 }

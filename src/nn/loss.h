@@ -5,6 +5,7 @@
 #ifndef GCON_NN_LOSS_H_
 #define GCON_NN_LOSS_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -19,6 +20,14 @@ Matrix Softmax(const Matrix& logits);
 /// receives d loss / d logits — a full-size matrix, zero outside `index`.
 double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& labels,
                            const std::vector<int>& index, Matrix* grad);
+
+/// One row of SoftmaxCrossEntropy: returns the row's loss term
+/// log(sum_j exp(logits[j])) - logits[label], and with `grad` set writes the
+/// row's gradient (softmax minus the one-hot label) times inv_count. The
+/// whole-matrix call is this per listed row, so a caller that splits rows
+/// across threads and sums the terms in index order gets the same bits.
+double SoftmaxCrossEntropyRow(const double* logits, std::size_t cols,
+                              int label, double inv_count, double* grad);
 
 }  // namespace gcon
 

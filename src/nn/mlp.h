@@ -17,6 +17,30 @@
 // inductive query batch, a baseline's second stage) does so when it is
 // sparse enough. The CSR products' bits equal the dense GEMM's
 // (sparse/csr_matrix.h), so the form changes the cost and never a result.
+//
+// An epoch is small (on cora_ml, 140 training rows), so training is laid
+// out to pay for arithmetic and little else:
+//   * One workspace per training holds every layer's outputs for the
+//     training and the validation rows, the gradients and the best-weights
+//     snapshot, and the epoch loop allocates no buffer. Each CSR block of
+//     rows is planned once (internal::CsrPlan): its value flags and, for the
+//     training rows, Xᵀ in CSR form for Xᵀ·dZ.
+//   * Every step that works row by row runs in one fan-out over blocks of
+//     16 rows (the row pass): each layer's product, bias add and activation,
+//     then the softmax cross-entropy and each dZ·Wᵀ with its activation
+//     derivative, down to layer 0's dZ. Validation's forward is a row
+//     pass of its own.
+//   * The weight gradients sum over rows, in a second fan-out: a job per
+//     block of 64 of W0's rows computes its rows of Xᵀ·dZ and at once takes
+//     W0's Adam step there, reporting the new weights' non-finite and tiny
+//     flags, so no product scans W0 again; a job per other layer computes
+//     its gradients and steps. The gradient rows of features no training
+//     row holds are never written: they keep the +0 they were allocated
+//     with, which is what the product gives them.
+// Every element still sees the operations of the unfused loop in the same
+// order, so the trained weights are bitwise those of running the public
+// calls (MatMul, ApplyActivationInPlace, SoftmaxCrossEntropy, Adam::Step)
+// one after another.
 #ifndef GCON_NN_MLP_H_
 #define GCON_NN_MLP_H_
 
@@ -28,7 +52,11 @@
 
 namespace gcon {
 
+class Adam;
 class CsrMatrix;
+namespace internal {
+struct ValueFlags;
+}  // namespace internal
 
 struct MlpOptions {
   /// Layer widths, input first, logits last, e.g. {d0, 64, d1, c}.
@@ -98,19 +126,43 @@ class Mlp {
   const MlpOptions& options() const { return options_; }
 
  private:
-  /// Layer 0's input: `csr` when set (the same matrix as `dense`, if that
-  /// is set too), else `dense`.
-  struct Input {
-    const Matrix* dense = nullptr;
-    const CsrMatrix* csr = nullptr;
-    Matrix Times(const Matrix& w) const;        ///< X·W
-    /// *out = Xᵀ·dZ; a CSR input writes in place when *out has the shape.
-    void TransTimes(const Matrix& dz, Matrix* out) const;
-  };
+  /// Layer 0's input: CSR (planned for X·W0 and, for training rows, for
+  /// Xᵀ·dZ) or dense.
+  struct Input;
+  /// An input block's trip through the network: its input and every
+  /// layer's post-activation output, the logits last.
+  struct Pass;
+  /// Every parameter's gradient, and each layer's output gradient.
+  struct Gradients;
+  /// The Adam step every parameter takes as its gradient is final.
+  struct Update;
+  /// The labels and the 1 / count the loss scales by.
+  struct Targets;
 
-  /// Forward keeping every layer's output (outputs[l] = layer l's
-  /// post-activation output; the input is not copied).
-  void ForwardKeep(Input x, std::vector<Matrix>* outputs) const;
+  Activation LayerActivation(std::size_t layer) const;
+  std::vector<Matrix> LayerOutputs(Input x) const;
+  /// The row pass: fills pass->outputs and, with `grads` set, the softmax
+  /// cross-entropy terms of the listed rows and every layer's output
+  /// gradient, in one fan-out over blocks of rows. Layer 0's product runs
+  /// first on its own when its input is dense or W0 is not finite.
+  /// `w0_flags` are W0's value flags.
+  void RunRows(Pass* pass, const internal::ValueFlags& w0_flags,
+               const Targets* targets, Gradients* grads) const;
+  /// Rows [r0, r1) of the row pass.
+  void RowBlock(Pass* pass, const internal::ValueFlags& w0_flags,
+                const Targets* targets, Gradients* grads, std::size_t r0,
+                std::size_t r1) const;
+  void Forward(Pass* pass, const internal::ValueFlags& w0_flags) const;
+  /// The row pass with the loss: returns the mean softmax cross-entropy of
+  /// the pass's rows `idx` and fills every layer's output gradient (dZ) in
+  /// *grads.
+  double ForwardLoss(Pass* pass, const internal::ValueFlags& w0_flags,
+                     const std::vector<int>& labels,
+                     const std::vector<int>& idx, Gradients* grads) const;
+  /// Every weight and bias gradient from ForwardLoss's dZ, in one fan-out.
+  /// With `update` set, each parameter it names (the caller's own) also
+  /// takes its Adam step, W0's block by block inside Xᵀ·dZ.
+  void Backward(Pass* pass, Gradients* grads, const Update* update) const;
   double LossAndGrads(Input x, const std::vector<int>& labels,
                       const std::vector<int>& idx, std::vector<Matrix>* dw,
                       std::vector<Matrix>* db) const;

@@ -7,6 +7,7 @@
 // is held to the blocked engine's exact bits on the densified operand.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -238,6 +239,79 @@ TEST(CsrGemm, CountsStoredEntryFlopsUnderCsrShape) {
   MatMul(a, b);
   EXPECT_EQ(calls->value() - calls0, 1u);
   EXPECT_EQ(flops->value() - flops0, 2u * a.nnz() * 6u);
+}
+
+// The row-range entries against the blocked engine on the densified
+// operand, for both op(A): GemmCsrRowRange over a plan (op(A) = Aᵀ in CSR,
+// B's flags given, into a C reused across products, the rows no entry
+// names left at +0), the general product on the plan's op(A), and
+// GemmBlockedRows over the dense product. k on both sides of KC; variant 1
+// holds values below 2^-511 (the -0 redo), variant 2 a NaN in B (the dense
+// path, after which ZeroEmptyRows puts back the +0 of the empty rows).
+TEST(CsrGemm, PlannedRowRangesMatchBlockedEngine) {
+  Rng rng(167);
+  const Shape shapes[] = {{140, 2879, 32}, {2879, 140, 32}, {37, 700, 13},
+                          {300, 60, 5}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Shape& s : shapes) {
+    for (bool trans_a : {false, true}) {
+      for (int variant = 0; variant < 3; ++variant) {
+        Matrix a_dense = trans_a ? SparseRandomMatrix(s.k, s.m, 0.01, &rng)
+                                 : SparseRandomMatrix(s.m, s.k, 0.01, &rng);
+        Matrix b = RandomMatrix(s.k, s.n, &rng);
+        if (variant == 1) {
+          b(0, 0) = 1e-200;
+          (trans_a ? a_dense(0, s.m - 1) : a_dense(s.m - 1, 0)) = -1e-200;
+        }
+        if (variant == 2) b(s.k / 2, 0) = nan;
+        const CsrMatrix a = CsrMatrix::FromDense(a_dense);
+        const internal::CsrOperand view{a.rows(), a.cols(),
+                                        a.row_ptr().data(),
+                                        a.col_idx().data(),
+                                        a.values().data()};
+        const internal::CsrPlan plan(view, trans_a);
+        Matrix want(s.m, s.n);
+        internal::GemmBlocked(1.0, a_dense, trans_a, b, /*trans_b=*/false,
+                              0.0, &want);
+        SCOPED_TRACE("m=" + std::to_string(s.m) + " k=" +
+                     std::to_string(s.k) + " n=" + std::to_string(s.n) +
+                     " trans_a=" + std::to_string(trans_a) + " variant=" +
+                     std::to_string(variant));
+        Matrix general(s.m, s.n);
+        internal::GemmCsr(1.0, plan.op, /*trans_a=*/false, b, 0.0, &general);
+        EXPECT_TRUE(BitEqual(general, want));
+        Matrix kept = want;
+        for (std::size_t i = 0; i < s.m; ++i) {
+          bool named = false;
+          for (std::size_t p = 0; p < s.k; ++p) {
+            const double v = trans_a ? a_dense(p, i) : a_dense(i, p);
+            named |= v != 0 || std::signbit(v);
+          }
+          if (!named) std::fill(kept.RowPtr(i), kept.RowPtr(i) + s.n, 0.0);
+        }
+        internal::ZeroEmptyRows(plan, &general);
+        EXPECT_TRUE(BitEqual(general, kept));
+        const internal::ValueFlags b_flags =
+            internal::ScanValues(b.data(), b.size());
+        if (b_flags.non_finite) continue;
+        Matrix got(s.m, s.n);
+        for (int repeat = 0; repeat < 2; ++repeat) {
+          for (std::size_t r0 = 0; r0 < s.m; r0 += 50) {
+            internal::GemmCsrRowRange(plan, b, b_flags, &got, r0,
+                                      std::min<std::size_t>(r0 + 50, s.m));
+          }
+          EXPECT_TRUE(BitEqual(got, want)) << "repeat " << repeat;
+        }
+        Matrix dense_rows(s.m, s.n);
+        for (std::size_t r0 = 0; r0 < s.m; r0 += 131) {
+          internal::GemmBlockedRows(1.0, a_dense, trans_a, b,
+                                    /*trans_b=*/false, 0.0, &dense_rows, r0,
+                                    std::min<std::size_t>(r0 + 131, s.m));
+        }
+        EXPECT_TRUE(BitEqual(dense_rows, want));
+      }
+    }
+  }
 }
 
 // --- NaN/Inf policy ---------------------------------------------------------

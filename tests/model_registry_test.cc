@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/datasets.h"
@@ -100,6 +101,63 @@ TEST(ModelRegistry, MalformedNumericValueThrows) {
   config.Set("hidden", "thirty-two");
   EXPECT_THROW(BuiltinModelRegistry().Create("gcn", config),
                std::invalid_argument);
+}
+
+// Sizes out of range are usage errors naming the key, caught when the
+// model is created: a validation period of 0 divided by zero, d1 = 0 and a
+// negative hop, stage or stack count tripped checks deeper in, a negative
+// width asked for a vector of -2 columns, and a negative epoch count or a
+// zero width went through silently.
+TEST(ModelRegistry, OutOfRangeSizesThrowNamingTheKey) {
+  const struct {
+    const char* method;
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {"gcn", "eval_every", "0"},       {"dpgcn", "eval_every", "0"},
+      {"gcn", "eval_every", "-1"},      {"gcon", "d1", "0"},
+      {"gcn", "hidden", "-2"},          {"gcon", "encoder_epochs", "-3"},
+      {"mlp", "hidden", "0"},           {"gcon", "hidden", "0"},
+      {"dpgcn", "hidden", "0"},         {"gcn", "epochs", "-1"},
+      {"mlp", "epochs", "-5"},          {"gap", "encoder_dim", "0"},
+      {"gap", "encoder_hidden", "0"},   {"gap", "head_hidden", "0"},
+      {"gap", "encoder_epochs", "-1"},  {"gap", "head_epochs", "-1"},
+      {"progap", "hidden", "0"},        {"progap", "dim", "0"},
+      {"progap", "stage_epochs", "-1"}, {"lpgnet", "hidden", "0"},
+      {"lpgnet", "epochs", "-1"},       {"dpsgd", "steps", "-1"},
+      {"gap", "hops", "-1"},            {"progap", "stages", "-1"},
+      {"lpgnet", "stacks", "-1"},
+  };
+  for (const auto& c : cases) {
+    ModelConfig config;
+    config.Set(c.key, c.value);
+    try {
+      BuiltinModelRegistry().Create(c.method, config);
+      ADD_FAILURE() << c.method << " accepted " << c.key << "=" << c.value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + c.key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The smallest sizes in range still train.
+  const TinyData data = MakeTinyData(5);
+  for (const auto& [method, key] :
+       {std::pair<const char*, const char*>{"gcn", "eval_every"},
+        {"gcon", "d1"},
+        {"mlp", "hidden"}}) {
+    ModelConfig config = FastConfig(method);
+    config.Set(key, "1");
+    std::unique_ptr<GraphModel> model =
+        BuiltinModelRegistry().Create(method, config);
+    const TrainResult result = model->Train(data.graph, data.split);
+    EXPECT_TRUE(std::isfinite(result.val_micro_f1)) << method << " " << key;
+  }
+  ModelConfig zero_epochs = FastConfig("gcon");
+  zero_epochs.Set("encoder_epochs", "0");
+  EXPECT_NO_THROW(BuiltinModelRegistry()
+                      .Create("gcon", zero_epochs)
+                      ->Train(data.graph, data.split));
 }
 
 TEST(ModelRegistry, EveryMethodTrainsToFiniteLogits) {

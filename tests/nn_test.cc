@@ -407,6 +407,190 @@ TEST(Mlp, AccuracyHelper) {
   EXPECT_DOUBLE_EQ(Accuracy(logits, labels, {}), 0.0);
 }
 
+// The epoch loop Mlp::Train ran before its kernels were fused, built from
+// the public unfused calls: each layer's product, a bias loop and
+// ApplyActivationInPlace; SoftmaxCrossEntropy; the backward products,
+// ActivationDerivFromOutput and Hadamard; one Adam::Step per tensor; and a
+// copy of every weight whenever validation accuracy improves. Trains
+// `mlp`'s own weights in place and returns the last epoch's loss;
+// *best_epoch is the epoch whose weights were kept (-1: none).
+double ReferenceTrain(Mlp* mlp, const CsrMatrix& x_train,
+                      const std::vector<int>& labels_train,
+                      const CsrMatrix& x_val,
+                      const std::vector<int>& labels_val, int* best_epoch) {
+  const MlpOptions& options = mlp->options();
+  const std::size_t layer_count = static_cast<std::size_t>(mlp->num_layers());
+  const auto forward = [&](const CsrMatrix& x, std::vector<Matrix>* outputs) {
+    outputs->clear();
+    for (std::size_t l = 0; l < layer_count; ++l) {
+      const Matrix& w = mlp->weight(static_cast<int>(l));
+      Matrix z = l > 0 ? MatMul(outputs->back(), w) : MatMul(x, w);
+      const Matrix& b = mlp->bias(static_cast<int>(l));
+      for (std::size_t i = 0; i < z.rows(); ++i) {
+        for (std::size_t j = 0; j < z.cols(); ++j) z(i, j) += b(0, j);
+      }
+      if (l + 1 < layer_count) {
+        ApplyActivationInPlace(options.hidden_activation, &z);
+      }
+      outputs->push_back(std::move(z));
+    }
+  };
+  std::vector<int> train_idx(labels_train.size());
+  for (std::size_t i = 0; i < train_idx.size(); ++i) {
+    train_idx[i] = static_cast<int>(i);
+  }
+  std::vector<int> val_idx(labels_val.size());
+  for (std::size_t i = 0; i < val_idx.size(); ++i) {
+    val_idx[i] = static_cast<int>(i);
+  }
+  Adam::Options adam_options;
+  adam_options.learning_rate = options.learning_rate;
+  adam_options.weight_decay = options.weight_decay;
+  Adam adam(adam_options);
+  std::vector<std::size_t> w_slot, b_slot;
+  for (std::size_t l = 0; l < layer_count; ++l) {
+    w_slot.push_back(adam.Register(mlp->weight(static_cast<int>(l))));
+    b_slot.push_back(adam.Register(mlp->bias(static_cast<int>(l))));
+  }
+  double best_val = -1.0;
+  std::vector<Matrix> best_w, best_b;
+  double loss = 0.0;
+  std::vector<Matrix> outputs, dw(layer_count), db(layer_count);
+  *best_epoch = -1;
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    forward(x_train, &outputs);
+    Matrix dz;
+    loss = SoftmaxCrossEntropy(outputs.back(), labels_train, train_idx, &dz);
+    for (std::size_t l = layer_count; l-- > 0;) {
+      if (l > 0) {
+        dw[l] = MatMulTransA(outputs[l - 1], dz);
+      } else {
+        dw[0] = Matrix(x_train.cols(), dz.cols());
+        SparseGemm(1.0, x_train, /*trans_a=*/true, dz, 0.0, &dw[0]);
+      }
+      db[l] = Matrix(1, dz.cols());
+      for (std::size_t j = 0; j < dz.cols(); ++j) db[l](0, j) = ColSum(dz, j);
+      if (l == 0) break;
+      Matrix deriv;
+      ActivationDerivFromOutput(options.hidden_activation, outputs[l - 1],
+                                &deriv);
+      dz = Hadamard(MatMulTransB(dz, mlp->weight(static_cast<int>(l))),
+                    deriv);
+    }
+    adam.BeginStep();
+    for (std::size_t l = 0; l < layer_count; ++l) {
+      adam.Step(w_slot[l], dw[l], mlp->mutable_weight(static_cast<int>(l)));
+      adam.Step(b_slot[l], db[l], mlp->mutable_bias(static_cast<int>(l)));
+    }
+    if (!labels_val.empty() &&
+        (epoch % options.eval_every == 0 || epoch + 1 == options.epochs)) {
+      forward(x_val, &outputs);
+      const double acc = Accuracy(outputs.back(), labels_val, val_idx);
+      if (acc > best_val) {
+        best_val = acc;
+        *best_epoch = epoch;
+        best_w.clear();
+        best_b.clear();
+        for (std::size_t l = 0; l < layer_count; ++l) {
+          best_w.push_back(mlp->weight(static_cast<int>(l)));
+          best_b.push_back(mlp->bias(static_cast<int>(l)));
+        }
+      }
+    }
+  }
+  if (best_val >= 0.0) {
+    for (std::size_t l = 0; l < layer_count; ++l) {
+      *mlp->mutable_weight(static_cast<int>(l)) = best_w[l];
+      *mlp->mutable_bias(static_cast<int>(l)) = best_b[l];
+    }
+  }
+  return loss;
+}
+
+// Mlp::Train against ReferenceTrain at the cora_ml encoder's shape (2879
+// bag-of-words features, 140 training and 299 validation rows, a
+// {2879, 32, 16, 7} tanh MLP), with and without validation: the loss and
+// every weight and bias, the restored best ones included, must match bit
+// for bit. Variant 1 starts W0 with a -0 and a value below 2^-511, so the
+// first products redo their -0 sums densely; variant 2 puts a NaN in one
+// training row, so dZ is not finite, Xᵀ·dZ takes the dense path, W0 turns
+// NaN and every later X·W0 takes the dense path too.
+TEST(Mlp, RestructuredTrainingMatchesReferenceLoopBitwise) {
+  constexpr std::size_t kFeatures = 2879;
+  constexpr std::size_t kTrain = 140;
+  constexpr std::size_t kVal = 299;
+  constexpr int kClasses = 7;
+  Rng rng(47);
+  Matrix x(kTrain + kVal, kFeatures);
+  std::vector<int> labels(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    labels[i] = static_cast<int>(rng.UniformInt(kClasses));
+    for (int t = 0; t < 30; ++t) {
+      x(i, rng.UniformInt(kFeatures)) = rng.Uniform(0.5, 1.5);
+    }
+    // Features that tell the class, so validation accuracy improves.
+    for (int t = 0; t < 4; ++t) {
+      x(i, static_cast<std::size_t>(labels[i] * 40 + rng.UniformInt(40))) =
+          1.0;
+    }
+  }
+  std::vector<int> train_idx, val_idx;
+  for (int i = 0; i < static_cast<int>(x.rows()); ++i) {
+    (i < static_cast<int>(kTrain) ? train_idx : val_idx).push_back(i);
+  }
+  MlpOptions options;
+  options.dims = {static_cast<int>(kFeatures), 32, 16, kClasses};
+  options.hidden_activation = Activation::kTanh;
+  options.epochs = 41;
+  options.seed = 5;
+  options.learning_rate = 0.05;
+  for (int variant = 0; variant < 3; ++variant) {
+    Matrix x_variant = x;
+    if (variant == 2) {
+      x_variant(3, 17) = std::numeric_limits<double>::quiet_NaN();
+    }
+    const CsrMatrix features = CsrMatrix::FromDense(x_variant);
+    const CsrMatrix x_train = GatherRows(features, train_idx);
+    const CsrMatrix x_val = GatherRows(features, val_idx);
+    std::vector<int> labels_train, labels_val;
+    for (int i : train_idx) labels_train.push_back(labels[i]);
+    for (int i : val_idx) labels_val.push_back(labels[i]);
+    for (bool validates : {true, false}) {
+      SCOPED_TRACE("variant " + std::to_string(variant) + " validates " +
+                   std::to_string(validates));
+      Mlp mlp(options);
+      if (variant == 1) {
+        (*mlp.mutable_weight(0))(5, 3) = -0.0;
+        (*mlp.mutable_weight(0))(7, 9) = 1e-300;
+      }
+      Mlp reference = mlp;
+      const std::vector<int> no_rows;
+      const double loss =
+          mlp.Train(features, labels, train_idx, validates ? val_idx : no_rows);
+      int best_epoch = -1;
+      const double reference_loss = ReferenceTrain(
+          &reference, x_train, labels_train, x_val,
+          validates ? labels_val : no_rows, &best_epoch);
+      if (variant == 0 && validates) {
+        // Weights kept from the middle of training, not epoch 0's or the
+        // last's: the snapshot must be taken between two updates.
+        EXPECT_GT(best_epoch, 0);
+        EXPECT_LT(best_epoch, options.epochs - 1);
+      }
+      if (variant == 2) {
+        EXPECT_TRUE(std::isnan(mlp.weight(0)(0, 0)));
+      }
+      EXPECT_EQ(std::memcmp(&loss, &reference_loss, sizeof(double)), 0)
+          << loss << " vs " << reference_loss;
+      for (int l = 0; l < mlp.num_layers(); ++l) {
+        EXPECT_TRUE(BitEqual(mlp.weight(l), reference.weight(l)))
+            << "layer " << l;
+        EXPECT_TRUE(BitEqual(mlp.bias(l), reference.bias(l))) << "layer " << l;
+      }
+    }
+  }
+}
+
 // The dispatched Adam kernel (AVX2 where the CPU has it) against the scalar
 // reference, 50 steps from the same state: every parameter and moment must
 // match bit for bit, IEEE specials in the gradient included. The top-level
@@ -454,6 +638,60 @@ TEST(Adam, DispatchedStepMatchesScalarBitwise) {
       EXPECT_EQ(std::memcmp(m.data(), m_in.data(), bytes), 0);
       EXPECT_EQ(std::memcmp(v.data(), v_in.data(), bytes), 0);
     }
+  }
+}
+
+// Adam::StepRange over blocks of a tensor, as a gradient's fan-out runs it,
+// gives the bits of Adam::Step on the whole tensor, and the flags it
+// reports are those a scan of the updated values finds, here a value below
+// 2^-511 throughout and a NaN from the fourth step on.
+TEST(Adam, StepRangeMatchesStepAndReportsFlags) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(53);
+  Matrix p(2879, 32);
+  for (std::size_t k = 0; k < p.size(); ++k) p.data()[k] = rng.Uniform(-1, 1);
+  // With no gradient, weight decay moves it by about 10x a step: it stays
+  // below 2^-511 throughout.
+  p.data()[100] = 1e-300;
+  Matrix p_range = p;
+  Adam::Options options;
+  options.weight_decay = 1e-5;
+  Adam whole(options);
+  Adam ranges(options);
+  const std::size_t slot = whole.Register(p);
+  ranges.Register(p_range);
+  Matrix g(p.rows(), p.cols());
+  for (int t = 1; t <= 6; ++t) {
+    for (std::size_t k = 0; k < g.size(); ++k) g.data()[k] = rng.Uniform(-2, 2);
+    g.data()[100] = 0.0;
+    if (t == 4) g.data()[7] = inf;  // p[7] turns NaN and stays so
+    whole.BeginStep();
+    ranges.BeginStep();
+    whole.Step(slot, g, &p);
+    internal::ValueFlags reported;
+    for (std::size_t r0 = 0; r0 < p.rows(); r0 += 64) {
+      const std::size_t r1 = std::min<std::size_t>(r0 + 64, p.rows());
+      const internal::ValueFlags flags =
+          ranges.StepRange(slot, g, &p_range, r0 * p.cols(), r1 * p.cols());
+      reported.non_finite |= flags.non_finite;
+      reported.tiny |= flags.tiny;
+    }
+    EXPECT_TRUE(BitEqual(p, p_range)) << "step " << t;
+    const internal::ValueFlags scanned =
+        internal::ScanValues(p.data(), p.size());
+    EXPECT_EQ(reported.non_finite, scanned.non_finite) << "step " << t;
+    EXPECT_EQ(reported.tiny, scanned.tiny) << "step " << t;
+    EXPECT_TRUE(scanned.tiny) << "step " << t;
+    EXPECT_EQ(scanned.non_finite, t >= 4) << "step " << t;
+    // The reference loop reports the same flags for what it writes.
+    std::vector<double> q(p.data(), p.data() + 13), m(13), v(13);
+    internal::ValueFlags scalar;
+    internal::AdamUpdateScalar({0.9, 0.999, 0.1, 0.001, 0.01, 1e-8, 1e-5}, 13,
+                               g.data(), q.data(), m.data(), v.data(),
+                               &scalar);
+    const internal::ValueFlags want = internal::ScanValues(q.data(), 13);
+    EXPECT_EQ(scalar.non_finite, want.non_finite);
+    EXPECT_EQ(scalar.tiny, want.tiny);
   }
 }
 

@@ -9,7 +9,9 @@
 #   - BM_CsrGemm / BM_DenseGemmEncoder are the encoder's first layer as a
 #     CSR and as a dense product (same bits), tracked by real_time,
 #   - BM_AdamStep is one encoder Adam step, scalar reference vs the
-#     dispatched (AVX2) kernel (same bits), tracked by real_time.
+#     dispatched (AVX2) kernel (same bits), tracked by real_time,
+#   - BM_MlpEpoch is cora_ml-shaped encoder training, 20 epochs per
+#     iteration, tracked by real_time (ms; / 20 for one epoch).
 #
 # Each benchmark runs 5 repetitions and only the aggregates are written:
 # gates read the entries whose aggregate_name is "median" (keyed by
@@ -28,7 +30,7 @@ if [ "${GCON_PERF_SMOKE:-0}" = "1" ]; then
 fi
 
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_DenseGemm|BM_CsrGemm|BM_AdamStep|BM_SpMM|BM_ApprPropagate|BM_ApprRound|BM_PropagationCacheHit' \
+  --benchmark_filter='BM_DenseGemm|BM_CsrGemm|BM_AdamStep|BM_MlpEpoch|BM_SpMM|BM_ApprPropagate|BM_ApprRound|BM_PropagationCacheHit' \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_repetitions=5 \
   --benchmark_report_aggregates_only=true \
